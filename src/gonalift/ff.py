@@ -14,6 +14,9 @@ rings) works over either without special cases.
 from __future__ import annotations
 
 from . import upoly
+# int lists mod p: the prime-field kernel of upoly, which also does the
+# arithmetic of prime-power fields here and tests their moduli
+from .upoly import _v_irreducible, _vmul, _vrem, _vtrim, _vxgcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -39,134 +42,6 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# raw coefficient-vector arithmetic mod p (bootstrap + prime-power fast path);
-# vectors are little-endian int lists, not necessarily trimmed
-
-
-def _vtrim(a):
-    n = len(a)
-    while n > 0 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _vadd(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return out
-
-
-def _vsub(a, b, p):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return out
-
-
-def _vmul(a, b, p):
-    a = _vtrim(a)
-    b = _vtrim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
-
-
-def _vdivmod(a, b, p):
-    a = _vtrim(list(a))
-    b = _vtrim(b)
-    if not b:
-        raise ZeroDivisionError
-    db = len(b) - 1
-    inv = pow(b[db], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    r = list(a)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = r[i + db] * inv % p
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                r[i + j] = (r[i + j] - c * b[j]) % p
-    return q, _vtrim(r)
-
-
-def _vrem(a, b, p):
-    return _vdivmod(a, b, p)[1]
-
-
-def _vpowmod(a, e, m, p):
-    result = [1]
-    base = _vrem(a, m, p)
-    while e > 0:
-        if e & 1:
-            result = _vrem(_vmul(result, base, p), m, p)
-        base = _vrem(_vmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _vgcd(a, b, p):
-    a, b = _vtrim(list(a)), _vtrim(list(b))
-    while b:
-        a, b = b, _vrem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _vxgcd(a, b, p):
-    r0, r1 = _vtrim(list(a)), _vtrim(list(b))
-    u0, u1 = [1], []
-    while r1:
-        q, r = _vdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _vsub(u0, _vmul(q, u1, p), p)
-    return r0, _vtrim(u0)
-
-
-def _v_irreducible(f, p):
-    """Rabin's test for a monic vector over F_p."""
-    d = len(_vtrim(f)) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if f[0] == 0:
-        return False
-    x = [0, 1]
-    b = x
-    powers = {}
-    for i in range(1, d + 1):
-        b = _vpowmod(b, p, f, p)
-        powers[i] = b
-    if _vtrim(_vsub(powers[d], x, p)):
-        return False
-    divisors = set()
-    m = d
-    t = 2
-    while t * t <= m:
-        if m % t == 0:
-            divisors.add(t)
-            while m % t == 0:
-                m //= t
-        t += 1
-    if m > 1:
-        divisors.add(m)
-    for r in divisors:
-        if len(_vgcd(_vsub(powers[d // r], x, p), f, p)) != 1:
             return False
     return True
 

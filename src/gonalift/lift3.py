@@ -3,8 +3,9 @@
 A non-hyperelliptic genus-3 curve is canonically a smooth plane quartic,
 and every degree-3 map to the line is projection from a rational point
 of the curve; without such a point the cheapest map has degree 4.  The
-classification is therefore a rational-point search, exhaustive on the
-small fields where a pointless smooth quartic can exist at all.
+classification is therefore a rational-point search.  It stops at the
+first point, and it is exhaustive only when there is none, which for a
+smooth quartic happens only on fields with q <= 29.
 
 Every lifting route follows one pattern: move a chosen point P (and
 usually its tangent line) into standard position with a projective
@@ -22,9 +23,12 @@ the support of the model.  Routes, from plainest to most special:
 
 ``two_point`` is the default; it needs the tangent at P to meet the
 curve again rationally, retries over fresh points when it does not, and
-finally falls back to ``tangent``.  The flex/bitangent/hyperflex routes
-only run on request: they are worthwhile for point counting but scan
-every rational point of the curve to find their special configuration.
+finally falls back to ``tangent``.  The points P come from a seeded
+``pointsearch.PointStream``, which solves slices of the curve only as
+points are tried, so a lift costs a few slices on any field.  The
+flex/bitangent/hyperflex routes only run on request: they are
+worthwhile for point counting but scan every rational point of the
+curve to find their special configuration.
 """
 
 from __future__ import annotations
@@ -196,6 +200,15 @@ def _try_special(F, optimize):
     return None
 
 
+def _tries(pool, attempts):
+    """The first ``attempts`` points of the stream, found as they are used."""
+    for i in range(attempts):
+        p = pool.point(i)
+        if p is None:
+            return
+        yield p
+
+
 def _build_model(F, optimize, pool, attempts, fallback, notes):
     if optimize in ("flex", "bitangent", "hyperflex"):
         got = _try_special(F, optimize)
@@ -207,7 +220,9 @@ def _build_model(F, optimize, pool, attempts, fallback, notes):
         optimize = "two_point"
     last = None
     if optimize == "two_point":
-        for p in pool[:attempts]:
+        tried = 0
+        for p in _tries(pool, attempts):
+            tried += 1
             _mult, others = pointsearch.tangent_contact(F, p)
             if not others:
                 continue
@@ -217,34 +232,18 @@ def _build_model(F, optimize, pool, attempts, fallback, notes):
                 last = err
         if not fallback:
             raise NoSecondRationalPoint(
-                f"no second rational tangent point among {min(attempts, len(pool))}"
+                f"no second rational tangent point among {tried}"
                 " choices of P")
         notes.append("no second rational tangent point; "
                      "fell back to the tangent-only route")
         optimize = "tangent"
-    for p in pool[:attempts]:
+    for p in _tries(pool, attempts):
         try:
             return _verified_model(F, optimize, p, None)
         except VerticalTangent as err:
             last = err
     raise last if last is not None else VerticalTangent(
         "every placement attempt failed")
-
-
-def _point_pool(F, rng):
-    """The retry sequence: exhaustive and shuffled at desk scale, random
-    slice draws beyond it."""
-    field = F.ring.coeff_ring
-    if field.q <= 2 ** 16:
-        pts = pointsearch.points_on_plane_curve(F)
-        rng.shuffle(pts)
-        return pts
-    pts, seen = [], set()
-    for p in pointsearch.points_on_variety([F], limit=256, rng=rng, deadline=4096):
-        if p.key() not in seen:
-            seen.add(p.key())
-            pts.append(p)
-    return pts
 
 
 def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
@@ -271,8 +270,8 @@ def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
     if rng is None:
         rng = random.Random(seed)
     notes = []
-    pool = _point_pool(F, rng)
-    if pool:
+    pool = pointsearch.PointStream(F, rng)
+    if pool.point(0) is not None:
         gamma = 3
         fbar, change, route = _build_model(F, optimize, pool, attempts,
                                            fallback, notes)

@@ -1,11 +1,14 @@
 """Rational point search on plane curves and quadric intersections.
 
-Everything here is desk scale: exhaustive chart-by-chart enumeration
-with univariate root extraction per slice, which is exact and fast for
-the field sizes the pipelines use (q up to a few thousand).  Enumeration
-order is canonical — charts from the last coordinate back, coordinates
+Point search goes chart by chart and slice by slice, with univariate
+root extraction per slice, which is exact.  ``points_on_variety`` sweeps
+in canonical order — charts from the last coordinate back, coordinates
 in the field's element order — so "first found" is reproducible and
 searches can be partitioned without changing the reported witness.
+``PointStream`` walks the slices of a plane curve in a seeded order and
+solves them only as points are asked for, so a caller that needs a few
+points pays for a few slices on any field; drained, it is exhaustive
+too.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def _solve_two_vars(polys, field, upos, vpos, u_values=None, ext=None):
     """Common zeros (u, v) of polynomials supported on vars upos, vpos.
 
     Yields pairs in canonical order.  ``u_values`` restricts (and orders)
-    the u-slices, which is how randomized large-field search plugs in.
+    the u-slices, which is how the seeded ``PointStream`` plugs in.
     With ``ext`` the zeros are taken in the extension while resultants
     stay over the (cheap) coefficient field.
     """
@@ -133,12 +136,11 @@ def _solve_two_vars(polys, field, upos, vpos, u_values=None, ext=None):
             yield u, v
 
 
-def points_on_variety(polys, limit=None, rng=None, deadline=None):
+def points_on_variety(polys, limit=None):
     """Common projective zeros of homogeneous polynomials in 3-5 variables.
 
-    Canonical (lexicographic) order over charts; with ``rng`` the affine
-    u-slices of each chart are sampled randomly instead, up to
-    ``deadline`` slices total, for fields too large to sweep.
+    All of them, or the first ``limit``, in canonical (lexicographic)
+    order over charts.
     """
     polys = [p for p in polys if p is not None]
     if not polys:
@@ -154,7 +156,6 @@ def points_on_variety(polys, limit=None, rng=None, deadline=None):
         found.append(ProjPoint(field, coords))
         return limit is not None and len(found) >= limit
 
-    budget = [deadline if deadline is not None else field.q]
     for chart in range(n - 1, -1, -1):
         free = list(range(chart + 1, n))
         base = {i: field.zero for i in range(chart)}
@@ -190,49 +191,28 @@ def points_on_variety(polys, limit=None, rng=None, deadline=None):
             continue
         upos, vpos = free[-2], free[-1]
         mids = free[:-2]
-        for mid_vals in _enumerate_assignments(field, mids, rng, budget):
+        for mid_vals in _enumerate_assignments(field, mids):
             fixed = dict(base)
             fixed.update(mid_vals)
             restricted = [p.partial_eval(fixed) for p in polys]
-            u_values = None
-            if rng is not None and not mids:
-                u_values = _random_u_values(field, rng, budget)
-            for u, v in _solve_two_vars(restricted, field, upos, vpos,
-                                        u_values=u_values):
+            for u, v in _solve_two_vars(restricted, field, upos, vpos):
                 coords = dict(fixed)
                 coords[upos] = u
                 coords[vpos] = v
                 if emit([coords.get(i, field.zero) for i in range(n)]):
                     return found
-        if rng is not None and budget[0] <= 0:
-            break
     return found
 
 
-def _enumerate_assignments(field, positions, rng, budget):
-    if not positions:
-        yield {}
-        return
-    total = field.q ** len(positions)
-    if rng is None:
-        for idx in range(total):
-            rem = idx
-            out = {}
-            # last position varies fastest, preserving lexicographic order
-            for pos in reversed(positions):
-                out[pos] = field.element_at(rem % field.q)
-                rem //= field.q
-            yield out
-    else:
-        while budget[0] > 0:
-            budget[0] -= 1
-            yield {pos: field.random_element(rng) for pos in positions}
-
-
-def _random_u_values(field, rng, budget):
-    while budget[0] > 0:
-        budget[0] -= 1
-        yield field.random_element(rng)
+def _enumerate_assignments(field, positions):
+    for idx in range(field.q ** len(positions)):
+        rem = idx
+        out = {}
+        # last position varies fastest, preserving lexicographic order
+        for pos in reversed(positions):
+            out[pos] = field.element_at(rem % field.q)
+            rem //= field.q
+        yield out
 
 
 def points_on_plane_curve(f, limit=None):
@@ -242,22 +222,58 @@ def points_on_plane_curve(f, limit=None):
     return points_on_variety([f], limit=limit)
 
 
-def find_point_on_plane_curve(f, rng=None, deadline=None):
+def find_point_on_plane_curve(f, rng=None):
     """One rational point, or None when the exhausted search finds none.
 
-    Without ``rng``: exhaustive (fields up to 2^16), returning the
-    lexicographically first point.  With ``rng``: a seeded uniform draw
-    among all points at desk scale, falling back to randomized slices on
-    larger fields (up to ``deadline`` slices).
+    Without ``rng``: the lexicographically first point.  With ``rng``:
+    the first point of the seeded ``PointStream``.  Either search stops
+    at its first point and sweeps every slice only when there is none.
     """
-    field = f.ring.coeff_ring
-    if field.q <= 2 ** 16:
-        pts = points_on_plane_curve(f)
-        if not pts:
-            return None
-        return pts[0] if rng is None else pts[rng.randrange(len(pts))]
-    pts = points_on_variety([f], limit=1, rng=rng, deadline=deadline)
+    if rng is not None:
+        return PointStream(f, rng).point(0)
+    pts = points_on_plane_curve(f, limit=1)
     return pts[0] if pts else None
+
+
+class PointStream:
+    """Every rational point of a plane curve, each once, in a seeded order.
+
+    The order walks the affine chart X = 1 slice by slice: Y/X runs
+    through the elements of index (a + b*i) mod q, i = 0, 1, ..., q - 1,
+    with a and b drawn from ``rng`` and b prime to q, so that each value
+    comes once.  The points on the line X = 0 follow, in canonical order.
+    A slice is solved only when a point beyond those already found is
+    asked for; running dry is an exhaustive search that found nothing.
+    """
+
+    def __init__(self, f, rng):
+        if not f or not f.is_homogeneous() or f.ring.nvars != 3:
+            raise InputError("expected a nonzero homogeneous polynomial in X, Y, Z")
+        self._found = []
+        self._rest = _seeded_walk(f, rng)
+
+    def point(self, i):
+        """The i-th point of the order, or None when the curve has at most i."""
+        while len(self._found) <= i:
+            nxt = next(self._rest, None)
+            if nxt is None:
+                return None
+            self._found.append(nxt)
+        return self._found[i]
+
+
+def _seeded_walk(f, rng):
+    field = f.ring.coeff_ring
+    q = field.q
+    a = rng.randrange(q)
+    b = rng.randrange(1, q)
+    while b % field.p == 0:
+        b = rng.randrange(1, q)
+    u_values = (field.element_at((a + b * i) % q) for i in range(q))
+    chart = [f.partial_eval({0: field.one})]
+    for u, v in _solve_two_vars(chart, field, 1, 2, u_values=u_values):
+        yield ProjPoint(field, [field.one, u, v])
+    yield from points_on_variety([f, f.ring.variable(0)])
 
 
 def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
@@ -358,7 +374,10 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     coordinate hyperplane, so the residual system is zero-dimensional
     and solvable by elimination; every candidate is re-checked against
     the full system before being kept.  Trades the canonical order of
-    points_on_variety for coverage on fields too large to sweep.
+    points_on_variety for coverage on fields too large to sweep.  A
+    slice drawn again is not solved again, and drawing stops once all
+    n(n-1)q slices have been drawn: on a small field the result is then
+    every point the slices reach.
 
     With ``ext`` the points are taken in the extension field.  The
     slicing hyperplanes stay rational, which keeps elimination over the
@@ -376,13 +395,17 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
         raise InputError("curve sampling works in P^2 through P^5")
     found = []
     seen = set()
+    solved = set()  # (chart, position, value): a repeated draw finds nothing new
     budget = tries if tries is not None else max(32 * limit, 64)
-    while budget > 0 and len(found) < limit:
+    while budget > 0 and len(found) < limit and len(solved) < n * (n - 1) * field.q:
         budget -= 1
         chart = rng.randrange(n)
         free = [i for i in range(n) if i != chart]
         pos = free.pop(rng.randrange(len(free)))
         fixed = {chart: field.one, pos: field.random_element(rng)}
+        if (chart, pos, fixed[pos]) in solved:
+            continue
+        solved.add((chart, pos, fixed[pos]))
         restricted = [p.partial_eval(fixed) for p in polys]
         sols = _solve_zero_dim(restricted, field, free, ext=ext)
         if not sols:

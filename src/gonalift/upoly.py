@@ -4,14 +4,29 @@ Polynomials are plain Python lists of field elements, little-endian
 (index i holds the coefficient of x^i).  The zero polynomial is the
 empty list.  Every function takes the field as its first argument; the
 field must provide ``zero``, ``one``, ``element`` and, for the
-root/factor routines, ``q``, ``p``, ``absolute_degree`` and
-``element_at``.
+root/factor routines, ``q``, ``p``, ``absolute_degree``, ``element_at``
+and ``index_of``.
+
+Root finding, gcd, modular powers, irreducibility and factoring run on
+one kernel per field kind: over a prime field the polynomials become
+int lists mod p once, on the way in, and field elements again on the
+way out; over every other field they stay lists of elements.  Roots
+are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 14) with shifts drawn from the whole field by a
+``random.Random`` under a fixed seed, local to each call; roots come out
+sorted by the field's enumeration index and factors in a fixed order,
+so the draws change only the time taken, never the output.
 
 This module is internal plumbing: the public polynomial API of the
 package lives in :mod:`gonalift.mpoly`.
 """
 
 from __future__ import annotations
+
+import random
+
+#: seed of the split draws; any value gives the same output
+_SPLIT_SEED = 1605_02162
 
 
 def trim(cs):
@@ -130,11 +145,8 @@ def monic(field, a):
 
 def gcd(field, a, b):
     """Monic gcd."""
-    a = trim(a)
-    b = trim(b)
-    while b:
-        a, b = b, rem(field, a, b)
-    return monic(field, a)
+    K = _kernel(field)
+    return K.back(K.gcd(K.to(a), K.to(b)))
 
 
 def xgcd(field, a, b):
@@ -154,15 +166,17 @@ def xgcd(field, a, b):
 
 
 def pow_mod(field, a, e, m):
-    """a^e mod m by square-and-multiply; e a nonnegative int."""
-    result = [field.one]
-    base = rem(field, a, m)
-    while e > 0:
-        if e & 1:
-            result = rem(field, mul(field, result, base), m)
-        base = rem(field, mul(field, base, base), m)
-        e >>= 1
-    return result
+    """a^e mod m by square-and-multiply; e a nonnegative int.
+
+    ``field`` may also be a kernel (see ``_kernel``) with ``a`` and ``m``
+    in its form: the root and factor routines take every modular power
+    through this function, so its call count measures their splitting
+    work.
+    """
+    if isinstance(field, _Kernel):
+        return field.pow_mod(a, e, m)
+    K = _kernel(field)
+    return K.back(K.pow_mod(K.to(a), e, K.to(m)))
 
 
 def eval_at(field, a, x):
@@ -227,98 +241,98 @@ def resultant(field, a, b):
             return acc if sign == 1 else -acc
 
 
+# ---------------------------------------------------------------------------
+# roots, irreducibility and factoring, written once over a kernel
+
+
 def count_roots(field, a):
     """Number of distinct roots in the field itself."""
-    a = trim(a)
-    if degree(a) < 1:
+    K = _kernel(field)
+    a = K.to(a)
+    if len(a) < 2:
         return 0
-    xq = pow_mod(field, x_poly(field), field.q, a)
-    g = gcd(field, sub(field, xq, x_poly(field)), a)
-    return degree(g)
+    return len(_linear_part(K, a)) - 1
 
 
 def roots(field, a):
     """Distinct roots in the field, sorted by the field's enumeration index."""
-    a = trim(a)
-    d = degree(a)
-    if d < 0:
+    K = _kernel(field)
+    a = K.to(a)
+    if not a:
         raise ValueError("every field element is a root of the zero polynomial")
-    if d == 0:
+    if len(a) == 1:
         return []
-    xq = pow_mod(field, x_poly(field), field.q, a)
-    g = gcd(field, sub(field, xq, x_poly(field)), a)
     found = []
-    _split_linear(field, g, found)
-    found.sort(key=field.index_of)
-    return found
+    _split_linear(K, _linear_part(K, a), random.Random(_SPLIT_SEED), found)
+    found.sort(key=K.key)
+    return K.back(found)
 
 
-def _split_linear(field, g, out):
-    """Split a product of distinct monic linear factors into its roots."""
-    d = degree(g)
-    if d <= 0:
+def _linear_part(K, a):
+    """gcd(x^q - x, a): the product of the distinct linear factors of a."""
+    return K.gcd(K.sub(pow_mod(K, K.x, K.q, a), K.x), a)
+
+
+def _split_linear(K, g, rng, out):
+    """Append the roots of g, a product of distinct monic linear factors.
+
+    (x + delta)^((q-1)/2) - 1 vanishes at the roots r with r + delta a
+    nonzero square, so its gcd with g splits g when that holds for some
+    roots and not for others.  About half of all shifts split a given
+    pair of roots, but over F_{p^n} no shift from F_p splits two roots in
+    F_p, so delta is drawn from the whole field.
+    """
+    d = len(g) - 1
+    if d < 1:
         return
     if d == 1:
-        out.append(-g[0] * g[1].inverse())
+        out.append(K.root(g))
         return
-    if field.q <= 512:
-        # brute force beats equal-degree splitting at this size
-        for i in range(field.q):
-            c = field.element_at(i)
-            if not eval_at(field, g, c):
-                out.append(c)
-        return
-    e = (field.q - 1) // 2
-    index = 0
+    e = (K.q - 1) // 2
     while True:
-        index += 1
-        delta = field.element_at(index % field.q)
-        h = pow_mod(field, [delta, field.one], e, g)
-        h = sub(field, h, [field.one])
-        w = gcd(field, h, g)
-        dw = degree(w)
-        if 0 < dw < d:
-            _split_linear(field, w, out)
-            _split_linear(field, divmod_(field, g, w)[0], out)
+        h = pow_mod(K, [K.random(rng), K.one], e, g)
+        w = K.gcd(K.sub(h, [K.one]), g)
+        if 0 < len(w) - 1 < d:
+            _split_linear(K, w, rng, out)
+            _split_linear(K, K.divmod(g, w)[0], rng, out)
             return
 
 
 def is_squarefree(field, a):
-    a = trim(a)
-    if degree(a) <= 0:
+    K = _kernel(field)
+    a = K.to(a)
+    if len(a) < 2:
         return True
-    d = derivative(field, a)
-    if is_zero(d):
-        return False
-    return degree(gcd(field, a, d)) == 0
+    d = K.derivative(a)
+    return bool(d) and len(K.gcd(a, d)) == 1
 
 
 def is_irreducible(field, a):
     """Rabin's irreducibility test over the field."""
-    a = trim(a)
-    d = degree(a)
+    K = _kernel(field)
+    return _is_irreducible(K, K.to(a))
+
+
+def _is_irreducible(K, a):
+    d = len(a) - 1
     if d <= 0:
         return False
     if d == 1:
         return True
-    if not a[0] and d > 1:
+    if not a[0]:
         return False
-    a = monic(field, a)
-    q = field.q
-    x = x_poly(field)
+    a = K.monic(a)
+    x = K.x
     # b_i = x^(q^i) mod a, by iterated q-th powering
     b = x
     powers = {}
     for i in range(1, d + 1):
-        b = pow_mod(field, b, q, a)
+        b = pow_mod(K, b, K.q, a)
         powers[i] = b
-    if trim(sub(field, powers[d], x)):
+    if K.sub(powers[d], x):
         return False
-    for r in _prime_divisors(d):
-        g = gcd(field, sub(field, powers[d // r], x), a)
-        if degree(g) != 0:
-            return False
-    return True
+    return all(len(K.gcd(K.sub(powers[d // r], x), a)) == 1
+               for r in _prime_divisors(d))
 
 
 def _prime_divisors(n):
@@ -337,109 +351,349 @@ def _prime_divisors(n):
 
 def squarefree_decomposition(field, a):
     """Return [(g_i, m_i)] with a = lc * prod g_i^m_i, g_i monic squarefree, coprime."""
-    a = monic(field, trim(a))
-    if degree(a) <= 0:
+    K = _kernel(field)
+    return [(K.back(g), m) for g, m in _squarefree_decomposition(K, K.to(a))]
+
+
+def _squarefree_decomposition(K, a):
+    if len(a) < 2:
         return []
-    p = field.p
+    a = K.monic(a)
     out = []
     multiplier = 1
-    while degree(a) > 0:
-        d = derivative(field, a)
-        if is_zero(d):
-            a = _pth_root_poly(field, a)
-            multiplier *= p
+    while len(a) > 1:
+        d = K.derivative(a)
+        if not d:
+            a = K.pth_root(a)
+            multiplier *= K.p
             continue
-        u = gcd(field, a, d)
-        v = divmod_(field, a, u)[0]  # product of factors with mult not divisible by p
+        u = K.gcd(a, d)
+        v = K.divmod(a, u)[0]  # product of factors with mult not divisible by p
         k = 0
-        while degree(v) > 0:
+        while len(v) > 1:
             k += 1
-            w = gcd(field, u, v)
-            piece = divmod_(field, v, w)[0]
-            if degree(piece) > 0:
+            w = K.gcd(u, v)
+            piece = K.divmod(v, w)[0]
+            if len(piece) > 1:
                 out.append((piece, k * multiplier))
             v = w
-            u = divmod_(field, u, w)[0]
+            u = K.divmod(u, w)[0]
         a = u
     return out
-
-
-def _pth_root_poly(field, a):
-    """For a(x) = b(x^p), return the p-th root polynomial of a."""
-    p = field.p
-    root_exp = field.p ** (field.absolute_degree - 1)
-    out = []
-    for i in range(0, len(a), p):
-        out.append(a[i] ** root_exp)
-    return trim(out)
 
 
 def factor(field, a):
     """Full factorization into monic irreducibles: returns (unit, [(g, mult)]).
 
-    Distinct-degree splitting followed by equal-degree splitting; the
-    equal-degree stage scans deterministic split elements so results are
-    reproducible.
+    Squarefree, then distinct-degree, then equal-degree splitting.  The
+    pieces are sorted by degree and then by the enumeration indices of
+    their coefficients, so the result does not depend on the split
+    draws.
     """
-    a = trim(a)
-    if degree(a) < 0:
+    K = _kernel(field)
+    a = K.to(a)
+    if not a:
         raise ValueError("cannot factor the zero polynomial")
-    unit = a[-1]
-    pieces = []
-    for g, m in squarefree_decomposition(field, a):
-        for h in _factor_squarefree(field, g):
-            pieces.append((h, m))
-    pieces.sort(key=lambda gm: (degree(gm[0]), [field.index_of(c) for c in gm[0]]))
-    return unit, pieces
+    rng = random.Random(_SPLIT_SEED)
+    pieces = [(h, m) for g, m in _squarefree_decomposition(K, a)
+              for h in _factor_squarefree(K, g, rng)]
+    pieces.sort(key=lambda gm: (len(gm[0]), [K.key(c) for c in gm[0]]))
+    unit = K.back([a[-1]])[0]
+    return unit, [(K.back(g), m) for g, m in pieces]
 
 
-def _factor_squarefree(field, a):
+def _factor_squarefree(K, a, rng):
+    """Monic irreducible factors of a squarefree monic a, degree by degree."""
     out = []
-    q = field.q
-    x = x_poly(field)
+    x = K.x
     b = x
     d = 0
-    rest = monic(field, a)
-    while degree(rest) > 0:
+    rest = a
+    while len(rest) > 1:
         d += 1
-        if 2 * d > degree(rest):
+        if 2 * d > len(rest) - 1:
             out.append(rest)
             break
-        b = pow_mod(field, b, q, rest)
-        g = gcd(field, sub(field, b, x), rest)
-        if degree(g) > 0:
-            out.extend(_equal_degree_split(field, g, d))
-            rest = divmod_(field, rest, g)[0]
-            b = rem(field, b, rest)
+        b = pow_mod(K, b, K.q, rest)
+        g = K.gcd(K.sub(b, x), rest)
+        if len(g) > 1:
+            _equal_degree_split(K, g, d, rng, out)
+            rest = K.divmod(rest, g)[0]
+            b = K.divmod(b, rest)[1]
     return out
 
 
-def _equal_degree_split(field, g, d):
-    """Split a squarefree product of degree-d irreducibles."""
-    if degree(g) == d:
-        return [monic(field, g)]
-    e = (field.q ** d - 1) // 2
-    index = 0
+def _equal_degree_split(K, g, d, rng, out):
+    """Append the factors of g, a squarefree monic product of degree-d irreducibles.
+
+    A random polynomial t of degree below deg g splits g by
+    gcd(g, t^((q^d - 1)/2) - 1) with probability about one half.
+    """
+    n = len(g) - 1
+    if n == d:
+        out.append(g)
+        return
+    e = (K.q ** d - 1) // 2
     while True:
-        index += 1
-        delta = _element_sequence(field, index, degree(g))
-        h = pow_mod(field, delta, e, g)
-        h = sub(field, h, [field.one])
-        w = gcd(field, h, g)
-        dw = degree(w)
-        if 0 < dw < degree(g):
-            left = _equal_degree_split(field, w, d)
-            right = _equal_degree_split(field, divmod_(field, g, w)[0], d)
-            return left + right
+        t = K.trim([K.random(rng) for _ in range(n)])
+        if len(t) < 2:
+            continue
+        w = K.gcd(K.sub(pow_mod(K, t, e, g), [K.one]), g)
+        if 0 < len(w) - 1 < n:
+            _equal_degree_split(K, w, d, rng, out)
+            _equal_degree_split(K, K.divmod(g, w)[0], d, rng, out)
+            return
 
 
-def _element_sequence(field, index, max_deg):
-    """Deterministic scan of low-degree polynomials used as split candidates."""
-    coeffs = []
-    i = index
-    while i > 0:
-        i, r = divmod(i, field.q)
-        coeffs.append(field.element_at(r))
-    if len(coeffs) < 2:
-        coeffs = [field.element_at(index % field.q), field.one]
-    return trim(coeffs[: max(max_deg, 2)])
+# ---------------------------------------------------------------------------
+# kernels: the polynomial form the routines above compute in
+#
+# Every kernel list is trimmed.  ``to`` converts a list of field elements
+# into kernel form, ``back`` converts kernel-form coefficients back.
+
+
+def _kernel(field):
+    """Int lists mod p for a prime field, lists of field elements otherwise."""
+    if field.is_field and getattr(field, "n", 0) == 1:
+        return _Ints(field.p, field)
+    return _Elements(field)
+
+
+class _Kernel:
+    __slots__ = ()
+
+
+class _Ints(_Kernel):
+    """Int lists mod p: the prime-field kernel."""
+
+    __slots__ = ("p", "q", "field", "one", "x")
+
+    def __init__(self, p, field=None):
+        self.p = self.q = p
+        self.field = field
+        self.one = 1
+        self.x = [0, 1]
+
+    def to(self, a):
+        return _vtrim([c.coeffs[0] for c in a])
+
+    def back(self, a):
+        element = self.field.element
+        return [element(c) for c in a]
+
+    def trim(self, a):
+        return _vtrim(a)
+
+    def sub(self, a, b):
+        return _vtrim(_vsub(a, b, self.p))
+
+    def divmod(self, a, b):
+        q, r = _vdivmod(a, b, self.p)
+        return _vtrim(q), r
+
+    def gcd(self, a, b):
+        return _vgcd(a, b, self.p)
+
+    def pow_mod(self, a, e, m):
+        return _vpowmod(a, e, m, self.p)
+
+    def monic(self, a):
+        p = self.p
+        inv = pow(a[-1], p - 2, p)
+        return [c * inv % p for c in a]
+
+    def derivative(self, a):
+        p = self.p
+        return _vtrim([i * a[i] % p for i in range(1, len(a))])
+
+    def pth_root(self, a):
+        # a(x) = b(x^p), and every element of F_p is its own p-th root
+        return a[::self.p]
+
+    def random(self, rng):
+        return rng.randrange(self.p)
+
+    def root(self, g):
+        p = self.p
+        return -g[0] * pow(g[1], p - 2, p) % p
+
+    def key(self, c):
+        return c
+
+
+class _Elements(_Kernel):
+    """Lists of field elements: the kernel for every field that is not prime."""
+
+    __slots__ = ("field", "p", "q", "one", "x")
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+        self.q = field.q
+        self.one = field.one
+        self.x = x_poly(field)
+
+    def to(self, a):
+        return trim(a)
+
+    def back(self, a):
+        return a
+
+    def trim(self, a):
+        return trim(a)
+
+    def sub(self, a, b):
+        return sub(self.field, a, b)
+
+    def divmod(self, a, b):
+        return divmod_(self.field, a, b)
+
+    def gcd(self, a, b):
+        field = self.field
+        while b:
+            a, b = b, rem(field, a, b)
+        return monic(field, a)
+
+    def pow_mod(self, a, e, m):
+        field = self.field
+        result = [field.one]
+        base = rem(field, a, m)
+        while e > 0:
+            if e & 1:
+                result = rem(field, mul(field, result, base), m)
+            base = rem(field, mul(field, base, base), m)
+            e >>= 1
+        return result
+
+    def monic(self, a):
+        return monic(self.field, a)
+
+    def derivative(self, a):
+        return derivative(self.field, a)
+
+    def pth_root(self, a):
+        # a(x) = b(x^p); c -> c^(p^(n-1)) inverts the absolute Frobenius
+        root_exp = self.p ** (self.field.absolute_degree - 1)
+        return trim([c ** root_exp for c in a[::self.p]])
+
+    def random(self, rng):
+        return self.field.element_at(rng.randrange(self.q))
+
+    def root(self, g):
+        return -g[0] * g[1].inverse()
+
+    def key(self, c):
+        return self.field.index_of(c)
+
+
+# ---------------------------------------------------------------------------
+# int-list arithmetic mod p, also the arithmetic ff builds prime-power
+# fields on; lists are little-endian and need not be trimmed on the way in
+
+
+def _vtrim(a):
+    n = len(a)
+    while n > 0 and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def _vsub(a, b, p):
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return out
+
+
+def _vmul(a, b, p):
+    a = _vtrim(a)
+    b = _vtrim(b)
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [c % p for c in out]
+
+
+def _vdivmod(a, b, p):
+    a = _vtrim(list(a))
+    b = _vtrim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv = pow(b[db], p - 2, p)
+    q = [0] * max(len(a) - db, 0)
+    r = list(a)
+    for i in range(len(a) - db - 1, -1, -1):
+        c = r[i + db] * inv % p
+        if c:
+            q[i] = c
+            for j in range(db + 1):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return q, _vtrim(r)
+
+
+def _vrem(a, b, p):
+    return _vdivmod(a, b, p)[1]
+
+
+def _vpowmod(a, e, m, p):
+    m = _vtrim(m)
+    inv = pow(m[-1], p - 2, p)
+    m = [c * inv % p for c in m]  # a monic modulus leaves the same remainders
+    result = [1]
+    base = _vrem(a, m, p)
+    while e > 0:
+        if e & 1:
+            result = _vmulmod(result, base, m, p)
+        e >>= 1
+        if e:
+            base = _vmulmod(base, base, m, p)
+    return result
+
+
+def _vmulmod(a, b, m, p):
+    """a*b mod a monic m, reducing mod p once per coefficient."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    dm = len(m) - 1
+    for i in range(len(out) - 1, dm - 1, -1):
+        c = out[i] % p
+        if c:
+            k = i - dm
+            for j in range(dm):
+                out[k + j] -= c * m[j]
+    return _vtrim([c % p for c in out[:dm]])
+
+
+def _vgcd(a, b, p):
+    a, b = _vtrim(list(a)), _vtrim(list(b))
+    while b:
+        a, b = b, _vrem(a, b, p)
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _vxgcd(a, b, p):
+    r0, r1 = _vtrim(list(a)), _vtrim(list(b))
+    u0, u1 = [1], []
+    while r1:
+        q, r = _vdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        u0, u1 = u1, _vsub(u0, _vmul(q, u1, p), p)
+    return r0, _vtrim(u0)
+
+
+def _v_irreducible(f, p):
+    """Rabin's test for an int list over F_p."""
+    return _is_irreducible(_Ints(p), _vtrim(list(f)))

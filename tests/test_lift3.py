@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 from gonalift import polygon, verify
@@ -12,7 +14,7 @@ from gonalift.lift3 import (Genus3Input, ROUTE_TARGETS, classify_gonality3,
                             lift_genus3)
 from gonalift.mpoly import PolyRing, from_dict
 from gonalift.ok import OkRing
-from gonalift.pointsearch import ProjPoint
+from gonalift.pointsearch import ProjPoint, points_on_plane_curve
 from gonalift.verify import make_monic, overall_status, run_checks
 from test_pointsearch import POINTLESS_QUARTIC_F3
 
@@ -76,9 +78,10 @@ def test_classify_prefers_coordinate_point():
 
 
 def test_classify_pointless_over_f3():
-    got = classify_gonality3(pointless_f3())
-    assert got == {"gamma": 4, "witness": None, "method": "exhaustive scan",
-                   "scanned": 13}
+    for rng in (None, random.Random(8)):
+        got = classify_gonality3(pointless_f3(), rng=rng)
+        assert got == {"gamma": 4, "witness": None, "method": "exhaustive scan",
+                       "scanned": 13}
 
 
 def test_classify_random_quartics_are_trigonal():
@@ -186,6 +189,24 @@ def test_lift_pointless_quartic():
     assert overall_status(checks) == "pass", checks
     hull = polygon.newton_polygon(rep.f)
     assert len(hull.interior_points()) == 3
+
+
+# -- base fields F_{p^n} with n > 1
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(pn=st.sampled_from([(3, 2), (5, 2), (3, 3)]), seed=st.integers(0, 2 ** 16))
+def test_lift_over_prime_power_fields(pn, seed):
+    ring = PolyRing(FqField(*pn), ("X", "Y", "Z"))
+    F = fixtures.random_smooth_quartic(ring, random.Random(seed))
+    C = Genus3Input(F, check=False)
+    rep = lift_genus3(C, seed=seed)
+    assert rep.gamma == classify_gonality3(C, rng=random.Random(seed))["gamma"]
+    checks = run_checks(rep)
+    assert overall_status(checks) == "pass", checks
+    if checks["nondegenerate"] == "pass":
+        assert verify.toric_point_count(rep.reduction(), 1) == \
+            len(points_on_plane_curve(F))
 
 
 # -- special-configuration routes

@@ -1,18 +1,23 @@
 import random
+import time
 
 import pytest
 
+import fixtures
+from gonalift import pointsearch
 from gonalift.errors import InputError, SingularPoint
 from gonalift.ff import FqField
 from gonalift.linalg import det
 from gonalift.mpoly import PolyRing, derivative
 from gonalift.pointsearch import (
+    PointStream,
     ProjPoint,
     conjugate_point,
     find_point_on_plane_curve,
     line_through,
     points_on_plane_curve,
     points_on_variety,
+    sample_curve_points,
     special_points,
     tangent_line,
 )
@@ -87,6 +92,59 @@ def test_seeded_draw_reproducible():
     assert len(draws) > 1
 
 
+def _drain(stream):
+    out = []
+    while (p := stream.point(len(out))) is not None:
+        out.append(p)
+    return out
+
+
+def test_point_stream_drains_to_every_point_once():
+    rng = random.Random(11)
+    for field in (F7, F13, FqField(3, 2)):
+        ring = PolyRing(field, ("X", "Y", "Z"))
+        for _ in range(3):
+            f = fixtures.random_quartic(ring, rng)
+            if not f:
+                continue
+            got = _drain(PointStream(f, random.Random(rng.randrange(100))))
+            assert len(got) == len(set(got))
+            assert set(got) == set(points_on_plane_curve(f))
+
+
+def test_point_stream_is_seeded():
+    conic = X * X + Y * Y - Z * Z
+    first = _drain(PointStream(conic, random.Random(5)))
+    assert _drain(PointStream(conic, random.Random(5))) == first
+    orders = {tuple(p.key() for p in _drain(PointStream(conic, random.Random(s))))
+              for s in range(10)}
+    assert len(orders) > 1
+    # asking again replays the points already found
+    stream = PointStream(conic, random.Random(5))
+    assert [stream.point(i) for i in (3, 0, 3)] == [first[3], first[0], first[3]]
+
+
+def test_sample_curve_points_solves_each_slice_once(monkeypatch):
+    # fewer points than asked for: sampling ends once every slice is drawn
+    ring = PolyRing(FqField(3, 2), ("X", "Y", "Z"))
+    f = fixtures.random_smooth_quartic(ring, random.Random(0))
+    want = set(points_on_plane_curve(f))
+    assert len(want) < 25
+    calls = []
+    real = pointsearch._solve_zero_dim
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pointsearch, "_solve_zero_dim", counting)
+    t0 = time.perf_counter()
+    got = sample_curve_points([f], 25, random.Random(0))
+    assert time.perf_counter() - t0 < 3.0
+    assert len(got) == len(want) and set(got) == want
+    assert len(calls) <= 3 * 2 * 9  # charts x positions x values
+
+
 POINTLESS_QUARTIC_F3 = {
     "vars": ["X", "Y", "Z"],
     "terms": [
@@ -104,6 +162,7 @@ def test_pointless_quartic_over_f3():
     F3 = FqField(3)
     f = from_dict(POINTLESS_QUARTIC_F3, F3)
     assert find_point_on_plane_curve(f) is None
+    assert find_point_on_plane_curve(f, rng=random.Random(1)) is None
     assert brute_force_points(f) == set()
 
 

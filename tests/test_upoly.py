@@ -1,7 +1,10 @@
 import random
+import time
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 
 from gonalift import upoly
 from gonalift.ff import FqField
@@ -222,3 +225,68 @@ def test_pow_mod_fermat():
         x = upoly.x_poly(field)
         big = upoly.pow_mod(field, x, field.q ** 2, m)
         assert big == x
+
+
+def test_roots_over_fp2_split_without_scanning_fp():
+    # both roots lie in F_p, which no shift from F_p separates
+    field = FqField(4099, 2)
+    a = upoly.mul(field, poly(field, [-1, 1]), poly(field, [-2, 1]))
+    t0 = time.perf_counter()
+    rs = upoly.roots(field, a)
+    assert time.perf_counter() - t0 < 0.1
+    assert rs == [field.element(1), field.element(2)]
+
+
+def test_factor_over_fp2_splits_rational_roots_and_a_conjugate_pair():
+    field = FqField(1009, 2)
+    r = field.element_at(5 * 1009 + 3)  # outside F_1009
+    a = [field.one]
+    for root in (field.element(1), field.element(2), r, field.frobenius(r)):
+        a = upoly.mul(field, a, [-root, field.one])
+    t0 = time.perf_counter()
+    unit, pieces = upoly.factor(field, a)
+    assert time.perf_counter() - t0 < 1.0
+    assert unit == field.one
+    assert sorted(field.index_of(-g[0]) for g, m in pieces if m == 1 and len(g) == 2) \
+        == sorted(field.index_of(c) for c in (field.element(1), field.element(2),
+                                              r, field.frobenius(r)))
+    assert len(pieces) == 4
+
+
+def _ints(cs):
+    return [c.coeffs[0] for c in cs]
+
+
+def _sympy_ints(sp, p):
+    return [int(c) % p for c in reversed(sp.all_coeffs())]
+
+
+@pytest.mark.parametrize("p", [7, 101, 1009])
+def test_prime_field_kernel_agrees_with_sympy(p):
+    field = FqField(p)
+    rng = random.Random(p)
+    x = sympy.Symbol("x")
+    for _ in range(25):
+        a = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1 + rng.randrange(p - 1)]
+        for _ in range(rng.randrange(4)):  # planted roots, sometimes repeated
+            r = rng.randrange(p)
+            a = _ints(upoly.mul(field, poly(field, a), poly(field, [-r, 1])))
+        b = [rng.randrange(p) for _ in range(rng.randrange(1, 7))]
+        pa, pb = poly(field, a), poly(field, b)
+        sa = sympy.Poly(list(reversed(a)), x, modulus=p)
+        sb = sympy.Poly(list(reversed(b)), x, modulus=p)
+
+        lc, sfactors = sa.factor_list()
+        want = sorted((_sympy_ints(g, p), m) for g, m in sfactors)
+        unit, pieces = upoly.factor(field, pa)
+        assert unit == field.element(int(lc))
+        assert sorted((_ints(g), m) for g, m in pieces) == want
+        want_roots = sorted(-g[0] % p for g, _m in want if len(g) == 2)
+        assert _ints(upoly.roots(field, pa)) == want_roots
+        assert upoly.count_roots(field, pa) == len(want_roots)
+        assert upoly.is_irreducible(field, pa) == sa.is_irreducible
+        if not upoly.is_zero(pb):
+            assert _ints(upoly.gcd(field, pa, pb)) == _sympy_ints(sa.gcd(sb), p)
+        e = rng.randrange(p ** 3)
+        want_pow = gf_pow_mod(list(reversed(b)), e, list(reversed(a)), p, ZZ)
+        assert _ints(upoly.pow_mod(field, pb, e, pa)) == [int(c) for c in reversed(want_pow)]
