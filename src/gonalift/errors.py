@@ -38,10 +38,6 @@ class NotPolynomial(GonaliftError):
     """A torus-level exponent change produced negative exponents."""
 
 
-class ResultantDegenerate(GonaliftError):
-    """Elimination stayed degenerate through all shear retries."""
-
-
 class NotSquarefree(GonaliftError):
     """Hyperelliptic data with a squarefree-ness violation."""
 

@@ -18,7 +18,6 @@ from .errors import (
     DegreeTooSmall,
     InputError,
     NotPolynomial,
-    ResultantDegenerate,
     ZeroInput,
 )
 
@@ -510,19 +509,10 @@ def homogenize(f, degree, name, at=None):
 # resultants
 
 
-def sylvester_matrix(f, g, var, formal_degs=None):
-    if not f or not g:
-        raise ZeroInput("resultant of a zero polynomial")
-    df, dg = f.degree_in(var), g.degree_in(var)
-    if formal_degs is not None:
-        fdf, fdg = formal_degs
-        if fdf < df or fdg < dg:
-            raise InputError("formal degree below the actual degree")
-        df, dg = fdf, fdg
-    fc = [f.coeff_of(var, k) for k in range(df + 1)]
-    gc = [g.coeff_of(var, k) for k in range(dg + 1)]
+def _sylvester_rows(fc, gc, zero):
+    """Sylvester matrix of the little-endian coefficient lists fc and gc."""
+    df, dg = len(fc) - 1, len(gc) - 1
     size = df + dg
-    zero = f.ring.zero()
     rows = []
     for i in range(dg):
         row = [zero] * size
@@ -537,6 +527,25 @@ def sylvester_matrix(f, g, var, formal_degs=None):
     return rows
 
 
+def _sylvester_coeffs(f, g, var, formal_degs):
+    """Coefficients of f and g in ``var``, little-endian, at the formal degrees."""
+    if not f or not g:
+        raise ZeroInput("resultant of a zero polynomial")
+    df, dg = f.degree_in(var), g.degree_in(var)
+    if formal_degs is not None:
+        fdf, fdg = formal_degs
+        if fdf < df or fdg < dg:
+            raise InputError("formal degree below the actual degree")
+        df, dg = fdf, fdg
+    return ([f.coeff_of(var, k) for k in range(df + 1)],
+            [g.coeff_of(var, k) for k in range(dg + 1)])
+
+
+def sylvester_matrix(f, g, var, formal_degs=None):
+    fc, gc = _sylvester_coeffs(f, g, var, formal_degs)
+    return _sylvester_rows(fc, gc, f.ring.zero())
+
+
 def resultant(f, g, var, formal_degs=None):
     """Sylvester determinant with respect to one variable.
 
@@ -544,39 +553,32 @@ def resultant(f, g, var, formal_degs=None):
     degrees even if leading coefficients vanish; this keeps the result a
     universal polynomial in the inputs' coefficients, so it commutes
     with any coefficient homomorphism (reduction mod p in particular).
+
+    Over a field, when f and g together involve at most one variable u
+    besides ``var``, the entries are univariate in u and the determinant
+    is Bareiss's fraction-free elimination over F[u] (``upoly.det``).
+    Otherwise (more variables, or a coefficient ring without division
+    such as the order) it is the division-free ``linalg.det``.
     """
-    rows = sylvester_matrix(f, g, var, formal_degs)
-    if not rows:
-        return f.ring.one()
-    return linalg.det(rows, f.ring.zero(), f.ring.one())
-
-
-def resultant_with_shear(f, g, var, rng, attempts=8):
-    """Resultant that retries through seeded shears when elimination degenerates.
-
-    Returns (resultant, shear) where shear is the LinearChange that was
-    applied to both inputs (None when none was needed).  Raises
-    ResultantDegenerate when every retry still gives the zero polynomial.
-    """
-    r = resultant(f, g, var)
-    if r:
-        return r, None
+    fc, gc = _sylvester_coeffs(f, g, var, formal_degs)
     ring = f.ring
-    coeff = ring.coeff_ring
-    others = [i for i in range(ring.nvars) if i != var]
-    if len(others) < 2:
-        raise ResultantDegenerate("no room to shear")
-    for _ in range(attempts):
-        i, j = rng.sample(others, 2)
-        c = coeff.element(rng.randrange(1, getattr(coeff, "q", 2 ** 30)))
-        rows = [[coeff.one if a == b else coeff.zero for b in range(ring.nvars)]
-                for a in range(ring.nvars)]
-        rows[i][j] = c
-        shear = LinearChange(coeff, rows)
-        r = resultant(shear.apply(f), shear.apply(g), var)
-        if r:
-            return r, shear
-    raise ResultantDegenerate(f"resultant stayed zero after {attempts} shears")
+    others = {i for h in fc + gc for e in h.terms for i, k in enumerate(e) if k}
+    if len(others) > 1 or not getattr(ring.coeff_ring, "is_field", False):
+        return linalg.det(_sylvester_rows(fc, gc, ring.zero()), ring.zero(), ring.one())
+    # constant entries are univariate in any variable; var does not occur in them
+    u = others.pop() if others else var
+    zero = ring.coeff_ring.zero
+
+    def in_u(h):
+        out = [zero] * (h.degree_in(u) + 1)
+        for e, c in h.terms.items():
+            out[e[u]] = c
+        return out
+
+    r = upoly.det(ring.coeff_ring,
+                  _sylvester_rows([in_u(h) for h in fc], [in_u(h) for h in gc], []))
+    return MPoly(ring, {tuple(i if j == u else 0 for j in range(ring.nvars)): c
+                        for i, c in enumerate(r) if c})
 
 
 def bilinear_triple_resultant(forms, w_var, v_var):

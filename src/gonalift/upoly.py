@@ -7,15 +7,25 @@ field must provide ``zero``, ``one``, ``element`` and, for the
 root/factor routines, ``q``, ``p``, ``absolute_degree``, ``element_at``
 and ``index_of``.
 
-Root finding, gcd, modular powers, irreducibility and factoring run on
-one kernel per field kind: over a prime field the polynomials become
-int lists mod p once, on the way in, and field elements again on the
-way out; over every other field they stay lists of elements.  Roots
-are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 14) with shifts drawn from the whole field by a
-``random.Random`` under a fixed seed, local to each call; roots come out
-sorted by the field's enumeration index and factors in a fixed order,
-so the draws change only the time taken, never the output.
+Root finding, gcd, modular powers, irreducibility, factoring and the
+determinant ``det`` run on one kernel per field kind: over a prime
+field the polynomials become int lists mod p once, on the way in, and
+field elements again on the way out (``_Ints``); over every other field
+they stay lists of elements (``_Elements``).  Both kernels offer the
+same methods (``sub``, ``mul``, ``divmod``, ``gcd``, ``pow_mod``, ...),
+so each algorithm is written once.  ``det`` is Bareiss's fraction-free
+elimination on a matrix of polynomials in one variable; ``mpoly``
+computes its Sylvester resultants with it.
+
+Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 14) with shifts drawn from the whole
+field by a ``random.Random`` under a fixed seed, local to each call.
+Over a flat F_{p^n} with n >= 2, a polynomial whose coefficients all
+lie in F_p is first factored over F_p on the int kernel, and only its
+irreducible factors of degree d >= 2 with d | n are split over F_{p^n}.
+Roots come out sorted by the field's enumeration index and factors in a
+fixed order, so the draws and the path change only the time taken,
+never the output.
 
 This module is internal plumbing: the public polynomial API of the
 package lives in :mod:`gonalift.mpoly`.
@@ -241,6 +251,42 @@ def resultant(field, a, b):
             return acc if sign == 1 else -acc
 
 
+def det(field, rows):
+    """Determinant of a square matrix of univariate polynomials over a field.
+
+    Entries and result are coefficient lists in one variable u.  Bareiss's
+    fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968) keeps
+    every entry in F[u]: after step k each entry below row k is a minor
+    of order k + 1, so the division by the previous pivot is exact.  A
+    row swap flips the sign, and a column with no nonzero entry on or
+    below the diagonal makes the determinant zero.
+    """
+    K = _kernel(field)
+    m = [[K.to(c) for c in row] for row in rows]
+    n = len(m)
+    negate = False
+    prev = None
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return []
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            negate = not negate
+        top = m[k]
+        akk = top[k]
+        for row in m[k + 1:]:
+            aik = row[k]
+            for j in range(k + 1, n):
+                t = K.mul(akk, row[j])
+                if aik:
+                    t = K.sub(t, K.mul(aik, top[j]))
+                row[j] = t if prev is None else K.divmod(t, prev)[0]
+        prev = akk
+    d = m[-1][-1] if n else [K.one]
+    return K.back(K.sub([], d) if negate else d)
+
+
 # ---------------------------------------------------------------------------
 # roots, irreducibility and factoring, written once over a kernel
 
@@ -262,10 +308,34 @@ def roots(field, a):
         raise ValueError("every field element is a root of the zero polynomial")
     if len(a) == 1:
         return []
+    rng = random.Random(_SPLIT_SEED)
     found = []
-    _split_linear(K, _linear_part(K, a), random.Random(_SPLIT_SEED), found)
+    if getattr(field, "n", 1) > 1 and not any(any(c.coeffs[1:]) for c in a):
+        _roots_of_prime_field_poly(field, a, rng, found)
+    else:
+        _split_linear(K, _linear_part(K, a), rng, found)
     found.sort(key=K.key)
     return K.back(found)
+
+
+def _roots_of_prime_field_poly(field, a, rng, found):
+    """Append the roots in flat F_{p^n} of a, whose coefficients lie in F_p.
+
+    They are the roots of the F_p-irreducible factors of a whose degree d
+    divides n, so a is factored over F_p on the int kernel; a linear
+    factor gives its root directly, and only the factors with d >= 2 are
+    split over F_{p^n}.
+    """
+    P = _Ints(field.p)
+    E = _Elements(field)
+    n = field.n
+    for g, _mult in _squarefree_decomposition(P, P.to(a)):
+        for h in _factor_squarefree(P, g, rng):
+            d = len(h) - 1
+            if d == 1:
+                found.append(field.element(P.root(h)))
+            elif n % d == 0:
+                _split_linear(E, [field.element(c) for c in h], rng, found)
 
 
 def _linear_part(K, a):
@@ -487,6 +557,9 @@ class _Ints(_Kernel):
     def sub(self, a, b):
         return _vtrim(_vsub(a, b, self.p))
 
+    def mul(self, a, b):
+        return _vmul(a, b, self.p)
+
     def divmod(self, a, b):
         q, r = _vdivmod(a, b, self.p)
         return _vtrim(q), r
@@ -544,6 +617,9 @@ class _Elements(_Kernel):
 
     def sub(self, a, b):
         return sub(self.field, a, b)
+
+    def mul(self, a, b):
+        return mul(self.field, a, b)
 
     def divmod(self, a, b):
         return divmod_(self.field, a, b)

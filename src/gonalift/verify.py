@@ -479,13 +479,12 @@ def replay_mod_p(gens, trail, field=None) -> MPoly:
     return state[0]
 
 
-def _forward_step(coords, names, step, L, field):
+def _forward_step(coords, names, step, L, field, inv):
+    """One step of ``forward_point``; ``inv`` is a linear step's inverse over L."""
     kind = step["kind"]
     if kind in ("scale", "resultant", "dixon", "gcd", "select"):
         return coords, names
     if kind == "linear":
-        rows = [[L.element(field.element(c)) for c in row] for row in step["rows"]]
-        inv = linalg.inverse(L, rows)
         new = tuple(sum((a * x for a, x in zip(row, coords)), L.zero) for row in inv)
         if not any(new):
             return None, names
@@ -536,17 +535,29 @@ def _forward_step(coords, names, step, L, field):
     raise InputError(f"unknown trail step kind {kind!r}")
 
 
-def forward_point(coords, names, trail, L, field=None):
+def forward_point(coords, names, trail, L, field=None, inverses=None):
     """Transport a point of the input model through the trail.
 
     Returns the image coordinates, or None when some step is undefined
     at the point (vanishing denominator, projection center, and so on).
+    ``inverses`` is a dict that keeps the inverse of each linear step
+    over L, keyed by (step index, L), so that points pushed through the
+    same trail share one inversion per step and field; pass it only
+    with that one trail.
     """
     field = field if field is not None else L
+    inverses = {} if inverses is None else inverses
     names = tuple(names)
     coords = tuple(L.element(c) for c in coords)
-    for step in trail:
-        coords, names = _forward_step(coords, names, step, L, field)
+    for i, step in enumerate(trail):
+        inv = None
+        if step["kind"] == "linear":
+            inv = inverses.get((i, L))
+            if inv is None:
+                rows = [[L.element(field.element(c)) for c in row]
+                        for row in step["rows"]]
+                inv = inverses[(i, L)] = linalg.inverse(L, rows)
+        coords, names = _forward_step(coords, names, step, L, field, inv)
         if coords is None:
             return None
     return coords
@@ -689,8 +700,9 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
                 "reason": NoSamplePoints.__name__}
     defined = 0
     failures = []
+    inverses = {}
     for coords, L in pool:
-        img = forward_point(coords, names, report.trail, L, field)
+        img = forward_point(coords, names, report.trail, L, field, inverses)
         if img is None:
             continue
         defined += 1

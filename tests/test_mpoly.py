@@ -1,18 +1,19 @@
 import random
+import time
 
 import pytest
 import sympy
 
-from gonalift import mpoly, upoly
+from gonalift import linalg, mpoly, upoly
 from gonalift.errors import (
-    AllZero, DegreeTooSmall, InputError, NotPolynomial, ResultantDegenerate,
+    AllZero, DegreeTooSmall, InputError, NotPolynomial,
     SingularMatrix, ZeroInput,
 )
 from gonalift.ff import FqField
 from gonalift.mpoly import (
     LinearChange, MPoly, PolyRing, apply_linear_change, bilinear_triple_resultant,
     bivariate_gcd, dehomogenize, derivative, divide_exact, from_dict, homogenize,
-    identity_change, monomial_map, resultant, resultant_with_shear, substitute,
+    identity_change, monomial_map, resultant, substitute,
 )
 from gonalift.ok import OkRing
 
@@ -208,22 +209,91 @@ def test_resultant_formal_degrees_commute_with_reduction():
     assert red(resultant(f, g, 1)) != r_plain_bar
 
 
-def test_resultant_with_shear_returns_plain_when_fine():
-    R3 = PolyRing(F7, ("A", "B", "V"))
-    A, B, V = R3.gens()
-    rng = random.Random(6)
-    r, shear = resultant_with_shear(V ** 2 - A, V - B, 2, rng)
-    assert shear is None and r == B ** 2 - A
+@pytest.mark.parametrize("p", [3, 5, 127, 1009])
+def test_resultant_matches_sympy_mod_p(p):
+    field = FqField(p)
+    R = PolyRing(field, ("x", "y"))
+    sx, sy = sympy.symbols("x y")
+    rng = random.Random(p)
+    for _ in range(6):
+        f = rand_poly(R, rng, 9, 5)
+        g = rand_poly(R, rng, 7, 4)
+        if f.degree_in(1) < 1 or g.degree_in(1) < 1:
+            continue
+        # coefficients lifted to [0, p) keep their degrees, so the integer
+        # resultant reduces to the one over F_p
+        want = sympy.Poly(sympy.resultant(to_sympy(f, (sx, sy)),
+                                          to_sympy(g, (sx, sy)), sy), sx)
+        got = resultant(f, g, 1)
+        assert got == R.from_terms(((k, 0), int(c) % p)
+                                   for (k,), c in want.terms())
 
 
-def test_resultant_with_shear_gives_up_on_common_factor():
-    R3 = PolyRing(F7, ("A", "B", "V"))
-    A, B, V = R3.gens()
-    f = (V - A) * (V - B)
-    g = (V - A) * (V + B)
-    rng = random.Random(7)
-    with pytest.raises(ResultantDegenerate):
-        resultant_with_shear(f, g, 2, rng)
+def _rand_fq_poly(ring, rng, nterms, maxdeg, support):
+    """Random terms on the variables in ``support``, coefficients from all of F_q."""
+    field = ring.coeff_ring
+    terms = []
+    for _ in range(nterms):
+        e = [0] * ring.nvars
+        for i in support:
+            e[i] = rng.randrange(maxdeg)
+        terms.append((e, field.element_at(rng.randrange(field.q))))
+    return ring.from_terms(terms)
+
+
+def _resultant_cases(field, rng):
+    """(f, g, var, formal_degs) over the field, the awkward shapes included."""
+    R = PolyRing(field, ("x", "y"))
+    x, y = R.gens()
+    c = field.element_at
+    cases = []
+    for _ in range(2):
+        f = _rand_fq_poly(R, rng, 8, 4, (0, 1)) + y ** 4
+        g = _rand_fq_poly(R, rng, 6, 3, (0, 1)) + y ** 3 * c(field.q - 2)
+        cases.append((f, g, 1, None))
+        cases.append((f, g, 1, (6, 4)))  # formal degrees above the actual ones
+        cases.append((f, g, 0, None))
+    h = y + x * c(field.q - 3) + c(2)
+    cases.append((h * (y ** 2 + x), h * (y + c(3)), 1, None))  # shared factor
+    cases.append((R.constant(c(5)), y ** 2 + x, 1, None))  # constant entries
+    cases.append((R.constant(c(5)), R.constant(c(7)), 1, (2, 1)))
+    cases.append((y ** 3 + c(4), y * c(field.q - 1) + c(1), 1, None))  # no x at all
+    # three variables, f and g supported on the first and the last
+    R3 = PolyRing(field, ("a", "b", "c"))
+    a, _, cc = R3.gens()
+    for _ in range(2):
+        f3 = _rand_fq_poly(R3, rng, 6, 3, (0, 2)) + cc ** 3 + a ** 3
+        g3 = _rand_fq_poly(R3, rng, 5, 3, (0, 2)) + cc ** 3
+        cases.append((f3, g3, 2, None))
+        cases.append((f3, g3, 0, (4, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [FqField(3, 2), FqField(5, 2), FqField(3, 2).extension(2)],
+                         ids=["F9", "F25", "F9[2]"])
+def test_resultant_matches_sylvester_det(field):
+    zeros = 0
+    for f, g, var, formal in _resultant_cases(field, random.Random(field.q)):
+        rows = mpoly.sylvester_matrix(f, g, var, formal)
+        want = linalg.det(rows, f.ring.zero(), f.ring.one()) if rows else f.ring.one()
+        got = resultant(f, g, var, formal)
+        assert got == want
+        zeros += got.is_zero()
+    assert zeros >= 1  # the shared factor
+
+
+def test_resultant_bivariate_time_budget():
+    field = FqField(1009)
+    R = PolyRing(field, ("x", "y"))
+    rng = random.Random(10)
+    monos = lambda d: [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    f = R.from_terms((e, field.element_at(rng.randrange(1, 1009))) for e in monos(4))
+    g = R.from_terms((e, field.element_at(rng.randrange(1, 1009))) for e in monos(3))
+    t0 = time.perf_counter()
+    for _ in range(10):
+        r = resultant(f, g, 1)
+    assert time.perf_counter() - t0 < 0.1
+    assert r.degree_in(0) == 12 and r.degree_in(1) == 0
 
 
 def test_bivariate_gcd_examples():

@@ -290,3 +290,47 @@ def test_prime_field_kernel_agrees_with_sympy(p):
         e = rng.randrange(p ** 3)
         want_pow = gf_pow_mod(list(reversed(b)), e, list(reversed(a)), p, ZZ)
         assert _ints(upoly.pow_mod(field, pb, e, pa)) == [int(c) for c in reversed(want_pow)]
+
+
+def _element_path_roots(field, a):
+    """Roots on the generic element kernel: the reference for F_p-defined input."""
+    K = upoly._Elements(field)
+    found = []
+    upoly._split_linear(K, upoly._linear_part(K, upoly.trim(a)), random.Random(1), found)
+    return sorted(found, key=field.index_of)
+
+
+def _irreducible_over_fp(p, d, rng):
+    Fp = FqField(p)
+    while True:
+        g = [Fp.random_element(rng) for _ in range(d)] + [Fp.one]
+        if upoly.is_irreducible(Fp, g):
+            return [int(c.coeffs[0]) for c in g]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [3, 7, 127])
+def test_roots_of_fp_defined_polys_match_element_path(p, n):
+    L = FqField(p, n)
+    rng = random.Random(100 * p + n)
+    x = poly(L, [0, 1])
+    cases = [poly(L, [rng.randrange(p) for _ in range(rng.randrange(2, 10))])
+             for _ in range(20)]
+    # irreducible factors whose degree does or does not divide n
+    irr = {d: poly(L, _irreducible_over_fp(p, d, rng)) for d in (2, 3)}
+    for d, g in irr.items():
+        assert len(upoly.roots(L, g)) == (d if n % d == 0 else 0)
+        cases.append(g)
+    # repeated factors
+    lin = [upoly.sub(L, x, poly(L, [c])) for c in (0, 1 % p, 2 % p)]
+    cases.append(upoly.mul(L, upoly.mul(L, irr[2], irr[2]),
+                           upoly.mul(L, upoly.mul(L, lin[1], lin[1]), lin[1])))
+    cases.append(upoly.mul(L, upoly.mul(L, irr[3], lin[0]), upoly.mul(L, lin[2], irr[2])))
+    if p < 100:  # a p-th power, through the p-th root step; of degree p + 3
+        cases.append(upoly.mul(L, poly(L, [1] + [0] * (p - 1) + [1]), irr[3]))
+    for a in cases:
+        if upoly.degree(a) < 0:
+            continue
+        assert upoly.roots(L, a) == _element_path_roots(L, a)
+    with pytest.raises(ValueError):
+        upoly.roots(L, [L.zero, L.zero])

@@ -4,10 +4,12 @@ import random
 import pytest
 
 import g6_fixture as g6
-from gonalift import mpoly, polygon, upoly
+from fixtures import random_smooth_quartic
+from gonalift import linalg, mpoly, polygon, upoly
 from gonalift.errors import (DegenerateModel, InputError, WrongGammaDegree,
                              ZeroInput)
 from gonalift.ff import FqField, flat_extension
+from gonalift.lift3 import Genus3Input, lift_genus3
 from gonalift.mpoly import LinearChange, PolyRing, substitute
 from gonalift.ok import OkRing
 from gonalift.verify import (LiftReport, check_nondegenerate, dehomog_step,
@@ -355,6 +357,25 @@ def test_sample_birational_reports_counts():
     assert out["failures"] == []
     with pytest.raises(InputError):
         sample_birational(_weierstrass_report(), samples=0)
+
+
+def test_sample_birational_inverts_each_linear_step_once_per_field(monkeypatch):
+    rng = random.Random(12)
+    F = random_smooth_quartic(PolyRing(FqField(31), ("X", "Y", "Z")), rng)
+    report = lift_genus3(Genus3Input(F), seed=12)
+    linear = sum(step["kind"] == "linear" for step in report.trail)
+    assert linear >= 1
+    calls = []
+    inverse = linalg.inverse
+
+    def counted(field, rows):
+        calls.append(field)
+        return inverse(field, rows)
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    out = sample_birational(report)
+    assert out["status"] == "pass" and out["defined"] > 2 * linear
+    assert len(calls) <= 2 * linear  # one inverse over F_q, one over F_{q^2}
 
 
 def test_report_json_roundtrip():
