@@ -38,36 +38,8 @@ class NotPolynomial(GonaliftError):
     """A torus-level exponent change produced negative exponents."""
 
 
-class NotSquarefree(GonaliftError):
-    """Hyperelliptic data with a squarefree-ness violation."""
-
-
-class DivisionObstruction(GonaliftError):
-    """A required exact polynomial division has no solution."""
-
-
-class ConeVertexOnCurve(GonaliftError):
-    """The cubic of a genus-4 input passes through the cone vertex."""
-
-
-class QuadricsDoNotVanish(GonaliftError):
-    """Trigonal input quadrics do not cut out the expected scroll."""
-
-
 class SingularPoint(GonaliftError):
     """Tangent data requested at a point with vanishing gradient."""
-
-
-class WrongRank(GonaliftError):
-    """Quadratic form has the wrong rank for the requested normal form."""
-
-
-class NotHyperbolic(GonaliftError):
-    """Rank-4 form is not equivalent to XY - ZW over the base field."""
-
-
-class ScrollStandardizationFailed(GonaliftError):
-    """Brute-force scroll standardization exhausted its budget."""
 
 
 class NoSecondRationalPoint(GonaliftError):
@@ -84,11 +56,3 @@ class WrongGammaDegree(GonaliftError):
 
 class DegenerateModel(GonaliftError):
     """Toric point counting requires a nondegenerate plane model."""
-
-
-class NoSamplePoints(GonaliftError):
-    """The sampling pool of the original model came back empty."""
-
-
-class VerificationFailed(GonaliftError):
-    """A produced lift failed its own certificate checks."""

@@ -39,10 +39,6 @@ def mat_vec(rows, vec):
     return out
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def rref(field, rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     m = [list(r) for r in rows]
@@ -147,24 +143,3 @@ def det(rows, zero, one):
         if not dp:
             return zero
     return dp.get((1 << k) - 1, zero)
-
-
-def det_field(field, rows):
-    """Determinant over a field by Gaussian elimination."""
-    k = len(rows)
-    m = [list(r) for r in rows]
-    acc = field.one
-    for c in range(k):
-        pivot = next((i for i in range(c, k) if m[i][c]), None)
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            acc = -acc
-        acc = acc * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, k):
-            if m[i][c]:
-                factor = m[i][c] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return acc

@@ -154,9 +154,6 @@ class MPoly:
         e = max(self.terms, key=_glex_key)
         return e, self.terms[e]
 
-    def constant_coeff(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.coeff_ring.zero)
-
     # -- arithmetic
 
     def _coerce(self, other):
@@ -257,13 +254,6 @@ class MPoly:
                 reduced[var] = 0
                 out[tuple(reduced)] = c
         return MPoly(self.ring, out)
-
-    def coefficients_in(self, var, formal_deg=None):
-        """Little-endian list of coefficients with respect to one variable."""
-        d = self.degree_in(var) if formal_deg is None else formal_deg
-        if formal_deg is not None and self.degree_in(var) > formal_deg:
-            raise InputError("formal degree below the actual degree")
-        return [self.coeff_of(var, k) for k in range(d + 1)]
 
     def evaluate(self, values, into=None):
         """Full evaluation; coefficients are coerced into the target ring.
@@ -444,9 +434,6 @@ class LinearChange:
             raise InputError("matrix inversion requires field coefficients")
         return LinearChange(self.coeff_ring, linalg.inverse(self.coeff_ring, self.rows))
 
-    def map_entries(self, fn, new_ring):
-        return LinearChange(new_ring, [[fn(x) for x in row] for row in self.rows])
-
     def to_json(self):
         return [[[int(c) for c in x.coeffs] for x in row] for row in self.rows]
 
@@ -456,15 +443,6 @@ class LinearChange:
 
     def __repr__(self):
         return f"LinearChange({self.rows!r})"
-
-
-def identity_change(coeff_ring, k):
-    rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    return LinearChange(coeff_ring, rows)
-
-
-def apply_linear_change(f, change):
-    return change.apply(f)
 
 
 # ---------------------------------------------------------------------------
@@ -579,43 +557,6 @@ def resultant(f, g, var, formal_degs=None):
                   _sylvester_rows([in_u(h) for h in fc], [in_u(h) for h in gc], []))
     return MPoly(ring, {tuple(i if j == u else 0 for j in range(ring.nvars)): c
                         for i, c in enumerate(r) if c})
-
-
-def bilinear_triple_resultant(forms, w_var, v_var):
-    """Exact resultant of three forms bilinear in two designated variables.
-
-    Each form must be of shape a + b*W + c*V + d*W*V with a, b, c, d free
-    of W and V.  The result is det(b,c,a)*det(d,c,b) - det(b,d,a)*det(d,c,a),
-    where det(u,v,w) is the 3x3 determinant with rows (u_i, v_i, w_i);
-    it vanishes exactly when the three forms share a zero on P^1 x P^1
-    (points at infinity included) and carries no extraneous factor.
-    """
-    if len(forms) != 3:
-        raise InputError("exactly three bilinear forms are required")
-    ring = forms[0].ring
-    cols = {"a": [], "b": [], "c": [], "d": []}
-    for f in forms:
-        if f.ring != ring:
-            raise InputError("forms must share one ring")
-        if f.degree_in(w_var) > 1 or f.degree_in(v_var) > 1:
-            raise InputError("forms must be bilinear in the designated variables")
-        pieces = {"a": {}, "b": {}, "c": {}, "d": {}}
-        for e, coeff in f.terms.items():
-            key = ("b" if e[w_var] else "") + ("c" if e[v_var] else "")
-            key = {"": "a", "b": "b", "c": "c", "bc": "d"}[key]
-            ne = list(e)
-            ne[w_var] = 0
-            ne[v_var] = 0
-            pieces[key][tuple(ne)] = coeff
-        for key in "abcd":
-            cols[key].append(MPoly(ring, pieces[key]))
-
-    def det3(u, v, w):
-        rows = [[u[i], v[i], w[i]] for i in range(3)]
-        return linalg.det(rows, ring.zero(), ring.one())
-
-    a, b, c, d = cols["a"], cols["b"], cols["c"], cols["d"]
-    return det3(b, c, a) * det3(d, c, b) - det3(b, d, a) * det3(d, c, a)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class ProjPoint:
         return self.conjugate() == self
 
 
-def conjugate_point(p: ProjPoint) -> ProjPoint:
-    return p.conjugate()
-
-
 def _univariate(f, pos, field):
     """f supported on variable pos only -> little-endian coefficient list."""
     coeffs = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .errors import InputError, ZeroInput
-from . import mpoly
 
 
 def _cross(o, a, b):
@@ -155,10 +154,6 @@ class LatticePolygon:
                     best = (key, w, (a, b))
         return best[1], best[2]
 
-    def translate(self, offset):
-        dx, dy = offset
-        return LatticePolygon([(x + dx, y + dy) for x, y in self.vertices])
-
     def apply_unimodular(self, mat, offset=(0, 0)):
         (m00, m01), (m10, m11) = mat
         if abs(m00 * m11 - m01 * m10) != 1:
@@ -190,126 +185,6 @@ def newton_polygon(f) -> LatticePolygon:
     return LatticePolygon(f.terms.keys())
 
 
-def interior_lattice_points(p: LatticePolygon):
-    return p.interior_points()
-
-
-def baker_bound(f) -> int:
-    """Number of interior lattice points of the Newton polygon."""
-    return len(newton_polygon(f).interior_points())
-
-
-def lattice_width(p: LatticePolygon):
-    return p.lattice_width()
-
-
-def _complete_unimodular(a, b):
-    """Unimodular matrix with second row (a, b) and smallest first row."""
-    g, x, y = _xgcd(b, a)
-    if g != 1:
-        raise InputError("direction is not primitive")
-    # first row is (x, -y) + k*(a, b) up to sign; pick the tamest one
-    best = None
-    span = abs(x) + abs(y) + 2
-    for base in ((x, -y), (-x, y)):
-        for k in range(-span, span + 1):
-            row = (base[0] + k * a, base[1] + k * b)
-            key = (abs(row[0]) + abs(row[1]), -row[0], -row[1])
-            if best is None or key < best[0]:
-                best = (key, row)
-    return (best[1], (a, b))
-
-
-def normalize_to_strip(f):
-    """Exponent change realizing the lattice width as deg_y.
-
-    Returns (g, (matrix, offset)) where g = monomial_map(f)[0] has
-    deg_y(g) = lattice width of f's polygon and support touching both
-    axes; the matrix is unimodular, so the change is invertible on the
-    torus.  An already-normal f gets the identity matrix.
-    """
-    poly = newton_polygon(f)
-    w, (a, b) = poly.lattice_width()
-    mat = _complete_unimodular(a, b)
-    out, offset = mpoly.monomial_map(f, mat)
-    assert out.degree_in(1) == w
-    return out, (mat, offset)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-# ---------------------------------------------------------------------------
-# exceptional classes: unimodular equivalence with 2*Upsilon and d*Sigma
-
-UPSILON = ((-1, -1), (1, 0), (0, 1))
-
-
-def _try_match_triangles(p_verts, t_verts):
-    """Affine unimodular map sending triangle p onto triangle t, or None."""
-    for orient in (1, -1):
-        tv = t_verts if orient == 1 else tuple(reversed(t_verts))
-        for rot in range(3):
-            tt = tv[rot:] + tv[:rot]
-            e1 = (p_verts[1][0] - p_verts[0][0], p_verts[1][1] - p_verts[0][1])
-            e2 = (p_verts[2][0] - p_verts[0][0], p_verts[2][1] - p_verts[0][1])
-            f1 = (tt[1][0] - tt[0][0], tt[1][1] - tt[0][1])
-            f2 = (tt[2][0] - tt[0][0], tt[2][1] - tt[0][1])
-            det = e1[0] * e2[1] - e1[1] * e2[0]
-            if det == 0:
-                continue
-            # solve M*e1 = f1, M*e2 = f2 over Q, demand integrality and det +-1
-            m00 = f1[0] * e2[1] - f2[0] * e1[1]
-            m01 = f2[0] * e1[0] - f1[0] * e2[0]
-            m10 = f1[1] * e2[1] - f2[1] * e1[1]
-            m11 = f2[1] * e1[0] - f1[1] * e2[0]
-            if any(v % det for v in (m00, m01, m10, m11)):
-                continue
-            mat = ((m00 // det, m01 // det), (m10 // det, m11 // det))
-            if abs(mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]) != 1:
-                continue
-            off = (tt[0][0] - mat[0][0] * p_verts[0][0] - mat[0][1] * p_verts[0][1],
-                   tt[0][1] - mat[1][0] * p_verts[0][0] - mat[1][1] * p_verts[0][1])
-            image = LatticePolygon([
-                (mat[0][0] * x + mat[0][1] * y + off[0],
-                 mat[1][0] * x + mat[1][1] * y + off[1]) for x, y in p_verts])
-            if image.vertices == LatticePolygon(t_verts).vertices:
-                return mat, off
-    return None
-
-
-def detect_exceptional(p: LatticePolygon):
-    """('two_upsilon', None), ('d_sigma', d), or None.
-
-    Both exceptional families are triangles, so equivalence is decided
-    by explicit vertex matching over all affine unimodular maps between
-    triangles, after cheap invariant prefilters.
-    """
-    if len(p.vertices) != 3:
-        return None
-    area2 = abs(p.double_area())
-    two_upsilon = tuple((2 * x, 2 * y) for x, y in UPSILON)
-    if area2 == 12 and _try_match_triangles(p.vertices, two_upsilon):
-        return ("two_upsilon", None)
-    d = math.isqrt(area2)
-    if d * d == area2 and d >= 2:
-        sigma = ((0, 0), (d, 0), (0, d))
-        if _try_match_triangles(p.vertices, sigma):
-            return ("d_sigma", d)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # named target polygons
 
@@ -334,28 +209,9 @@ _FIXED_TARGETS = {
     # genus 3, plane quartics
     "g3_plain": [(0, 0), (4, 0), (0, 4)],
     "g3_point": [(0, 0), (4, 0), (1, 3), (0, 3)],
-    # genus 4, quadric [cap] cubic in P^3
-    "g4_cone": [(0, 0), (6, 0), (4, 1), (2, 2), (0, 3)],
-    "g4_quadric": [(0, 0), (3, 0), (3, 3), (0, 3)],
-    "g4_nonsplit": [(0, 0), (6, 0), (2, 4), (0, 4)],
-    # genus 5, trigonal on the (1,2) scroll
-    "g5_trig_standard": [(0, 0), (5, 0), (2, 3), (0, 3)],
-    # genus 5, intersection of three quadrics in P^4
-    "g5_cone": [(0, 0), (8, 0), (6, 1), (4, 2), (2, 3), (0, 4)],
-    "g5_quadric": [(0, 0), (4, 0), (4, 4), (0, 4)],
     # plane quartic fallback for pointless curves (gonality 4)
     "g3_pointless": [(0, 0), (4, 0), (0, 4)],
 }
-
-
-def general_trigonal_target(a, b):
-    """Support bound for a trigonal curve with scroll type (a, b), a <= b."""
-    if a > b or a < 0:
-        raise InputError("scroll type must satisfy 0 <= a <= b")
-    return TargetPolygon(
-        f"trig_scroll_{a}_{b}",
-        [(0, 0), (2 * b + 2 - a, 0), (2 * a + 2 - b, 3), (0, 3)],
-    )
 
 
 def target(name) -> TargetPolygon:
@@ -366,7 +222,3 @@ def target(name) -> TargetPolygon:
         return TargetPolygon(name, _derived_polygons.DERIVED[name], derived=True)
     raise InputError(f"unknown target polygon {name!r}")
 
-
-def known_targets():
-    from . import _derived_polygons
-    return sorted(set(_FIXED_TARGETS) | set(_derived_polygons.DERIVED))

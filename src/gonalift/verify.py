@@ -26,8 +26,7 @@ import math
 import random
 
 from . import ff, linalg, mpoly, ok, polygon, upoly
-from .errors import (DegenerateModel, InputError, NoSamplePoints, WrongGammaDegree,
-                     ZeroInput)
+from .errors import DegenerateModel, InputError, WrongGammaDegree, ZeroInput
 from .mpoly import MPoly, PolyRing
 from .pointsearch import sample_curve_points
 
@@ -148,6 +147,33 @@ def _slice_at(g: MPoly, alpha, ext):
     return upoly.trim(out)
 
 
+def _common_slice(polys, m):
+    """gcd over L = F[x]/(m) of the nonzero slices p(alpha, y), alpha = x mod m.
+
+    For an irreducible factor m of the eliminant of ``polys``, the roots
+    of this gcd are the y-coordinates of the common zeros whose
+    x-coordinate is a root of m.  None when every slice vanishes, that
+    is when the whole vertical line is a common zero.
+    """
+    field = polys[0].ring.coeff_ring
+    deg = upoly.degree(m)
+    if deg == 1:
+        L, alpha = field, -m[0]
+    elif isinstance(field, ff.FqField) and field.n == 1:
+        L = ff.FqField(field.p, deg, [c.coeffs[0] for c in m])
+        alpha = L.element([0, 1])
+    else:
+        L = ff.FqExtField(field, deg, modulus=m)
+        alpha = L.element([0, 1])
+    common = None
+    for p in polys:
+        s = _slice_at(p, alpha, L)
+        if upoly.is_zero(s):
+            continue
+        common = s if common is None else upoly.gcd(L, common, s)
+    return common
+
+
 def _interior_failures(F: MPoly):
     """Witnesses against nondegeneracy on the two-dimensional face."""
     field = F.ring.coeff_ring
@@ -166,23 +192,9 @@ def _interior_failures(F: MPoly):
         return fails
     _, pieces = upoly.factor(field, r)
     for m, _mult in pieces:
-        deg = upoly.degree(m)
-        if deg == 1 and not m[0]:
+        if upoly.degree(m) == 1 and not m[0]:
             continue  # x = 0 lies outside the torus
-        if deg == 1:
-            L, alpha = field, -m[0]
-        elif isinstance(field, ff.FqField) and field.n == 1:
-            L = ff.FqField(field.p, deg, [c.coeffs[0] for c in m])
-            alpha = L.element([0, 1])
-        else:
-            L = ff.FqExtField(field, deg, modulus=m)
-            alpha = L.element([0, 1])
-        slices = [_slice_at(p, alpha, L) for p in [F] + actives]
-        common = None
-        for s in slices:
-            if upoly.is_zero(s):
-                continue
-            common = s if common is None else upoly.gcd(L, common, s)
+        common = _common_slice([F] + actives, m)
         witness = {"face": "interior",
                    "x_min_poly": [[int(c) for c in cf.coeffs] for cf in m]}
         if common is None:
@@ -247,21 +259,7 @@ def common_affine_zero_exists(polys) -> bool:
         return False
     _, pieces = upoly.factor(field, r)
     for m, _mult in pieces:
-        deg = upoly.degree(m)
-        if deg == 1:
-            L, alpha = field, -m[0]
-        elif isinstance(field, ff.FqField) and field.n == 1:
-            L = ff.FqField(field.p, deg, [c.coeffs[0] for c in m])
-            alpha = L.element([0, 1])
-        else:
-            L = ff.FqExtField(field, deg, modulus=m)
-            alpha = L.element([0, 1])
-        common = None
-        for p in polys:
-            s = _slice_at(p, alpha, L)
-            if upoly.is_zero(s):
-                continue
-            common = s if common is None else upoly.gcd(L, common, s)
+        common = _common_slice(polys, m)
         if common is None or upoly.degree(common) >= 1:
             return True
     return False
@@ -370,10 +368,6 @@ def linear_step(change: mpoly.LinearChange) -> dict:
     return {"kind": "linear", "rows": change.to_json()}
 
 
-def scale_step(index: int, value) -> dict:
-    return {"kind": "scale", "index": index, "value": [int(c) for c in value.coeffs]}
-
-
 def substitute_step(images, point_map=None) -> dict:
     """Variable substitution; images live in the ring of the new model.
 
@@ -393,15 +387,6 @@ def dehomog_step(var_name: str) -> dict:
 
 def project_step(keep_names, new_names) -> dict:
     return {"kind": "project", "keep": list(keep_names), "names": list(new_names)}
-
-
-def resultant_step(var_name: str, i: int, j: int, formal_degs) -> dict:
-    return {"kind": "resultant", "var": var_name, "i": i, "j": j,
-            "formal_degs": [int(d) for d in formal_degs]}
-
-
-def dixon_step(w_name: str, v_name: str) -> dict:
-    return {"kind": "dixon", "w": w_name, "v": v_name}
 
 
 def gcd_step() -> dict:
@@ -426,9 +411,6 @@ def _apply_step(state, step, field):
         rows = [[field.element(c) for c in row] for row in step["rows"]]
         change = mpoly.LinearChange(field, rows)
         return [change.apply(f) for f in state]
-    if kind == "scale":
-        c = field.element(step["value"])
-        return [f.scale(c) if i == step["index"] else f for i, f in enumerate(state)]
     if kind == "substitute":
         images = [mpoly.from_dict(d, field) for d in step["images"]]
         return [mpoly.substitute(f, images) for f in state]
@@ -446,15 +428,6 @@ def _apply_step(state, step, field):
             out.append(new_ring.from_terms(
                 (tuple(e[i] for i in keep), c) for e, c in f.terms.items()))
         return out
-    if kind == "resultant":
-        var = ring.index_of_name(step["var"])
-        r = mpoly.resultant(state[step["i"]], state[step["j"]], var,
-                            tuple(step["formal_degs"]))
-        return [r]
-    if kind == "dixon":
-        w = ring.index_of_name(step["w"])
-        v = ring.index_of_name(step["v"])
-        return [mpoly.bilinear_triple_resultant(list(state), w, v)]
     if kind == "gcd":
         return [mpoly.bivariate_gcd(list(state))]
     if kind == "select":
@@ -482,7 +455,7 @@ def replay_mod_p(gens, trail, field=None) -> MPoly:
 def _forward_step(coords, names, step, L, field, inv):
     """One step of ``forward_point``; ``inv`` is a linear step's inverse over L."""
     kind = step["kind"]
-    if kind in ("scale", "resultant", "dixon", "gcd", "select"):
+    if kind in ("gcd", "select"):
         return coords, names
     if kind == "linear":
         new = tuple(sum((a * x for a, x in zip(row, coords)), L.zero) for row in inv)
@@ -565,9 +538,6 @@ def forward_point(coords, names, trail, L, field=None, inverses=None):
 
 # ---------------------------------------------------------------------------
 # lift reports
-
-
-_STATUS = ("pass", "fail", "skipped", "not evaluated")
 
 
 class LiftReport:
@@ -697,7 +667,7 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
         pool = []
     if not pool:
         return {"status": "skipped", "sampled": 0, "defined": 0,
-                "reason": NoSamplePoints.__name__}
+                "reason": "NoSamplePoints"}
     defined = 0
     failures = []
     inverses = {}
@@ -742,7 +712,6 @@ def run_checks(report: LiftReport, samples: int = 50, rng=None) -> dict:
     else:
         checks["baker_attained"] = "skipped"
     checks["sample_birational"] = sample_birational(report, samples, rng)["status"]
-    checks["well_reduced"] = "not evaluated"
     report.checks.update(checks)
     return checks
 

@@ -22,7 +22,6 @@ def test_det_matches_sympy_over_f7():
             m = rand_matrix(F7, rng, k)
             expected = int(sympy.Matrix([[c.coeffs[0] for c in row] for row in m]).det()) % 7
             assert linalg.det(m, F7.zero, F7.one).coeffs[0] == expected
-            assert linalg.det_field(F7, m).coeffs[0] == expected
 
 
 def test_det_division_free_over_ok():
@@ -45,7 +44,7 @@ def test_inverse_and_solve():
             try:
                 inv = linalg.inverse(F7, m)
             except SingularMatrix:
-                assert not linalg.det_field(F7, m)
+                assert not linalg.det(m, F7.zero, F7.one)
                 continue
             prod = linalg.mat_mul(m, inv)
             assert prod == linalg.identity(F7, k)

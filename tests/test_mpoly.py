@@ -11,9 +11,8 @@ from gonalift.errors import (
 )
 from gonalift.ff import FqField
 from gonalift.mpoly import (
-    LinearChange, MPoly, PolyRing, apply_linear_change, bilinear_triple_resultant,
-    bivariate_gcd, dehomogenize, derivative, divide_exact, from_dict, homogenize,
-    identity_change, monomial_map, resultant, substitute,
+    LinearChange, PolyRing, bivariate_gcd, dehomogenize, derivative, divide_exact,
+    from_dict, homogenize, monomial_map, resultant, substitute,
 )
 from gonalift.ok import OkRing
 
@@ -102,11 +101,11 @@ def test_substitute_scroll_parametrization_annihilates():
 def test_linear_change_examples_and_action():
     R3 = PolyRing(F7, ("X", "Y", "Z"))
     X, Y, Z = R3.gens()
-    ident = identity_change(F7, 3)
+    ident = LinearChange(F7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     f = X ** 2 + Y * Z
-    assert apply_linear_change(f, ident) == f
+    assert ident.apply(f) == f
     swap = LinearChange(F7, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert apply_linear_change(X, swap) == Y
+    assert swap.apply(X) == Y
     rng = random.Random(3)
     for _ in range(15):
         rows_a = [[rng.randrange(7) for _ in range(3)] for _ in range(3)]
@@ -117,11 +116,11 @@ def test_linear_change_examples_and_action():
         except SingularMatrix:
             continue
         f = rand_poly(R3, rng)
-        lhs = apply_linear_change(apply_linear_change(f, A), B)
-        assert lhs == apply_linear_change(f, A.then(B))
-        back = apply_linear_change(apply_linear_change(f, A), A.inverse())
+        lhs = B.apply(A.apply(f))
+        assert lhs == A.then(B).apply(f)
+        back = A.inverse().apply(A.apply(f))
         assert back == f
-        assert f.total_degree() == apply_linear_change(f, A).total_degree() \
+        assert f.total_degree() == A.apply(f).total_degree() \
             or f.is_zero()
 
 
@@ -386,78 +385,6 @@ def test_dict_roundtrip():
     Rok = PolyRing(okr, ("x",))
     g = Rok.from_terms([((2,), okr.element([1, -9]))])
     assert from_dict(g.to_dict(), okr) == g
-
-
-def test_bilinear_triple_resultant_degree_and_vanishing():
-    R = PolyRing(F13, ("x", "y", "z", "W", "V"))
-    x, y, z, W, V = R.gens()
-    rng = random.Random(9)
-
-    def rand_form(deg):
-        total = R.zero()
-        for _ in range(4):
-            e = [0, 0, 0, 0, 0]
-            left = deg
-            for idx in (0, 1, 2):
-                k = rng.randrange(left + 1)
-                e[idx] = k
-                left -= k
-            e[0] += left
-            total = total + R.monomial(e, rng.randrange(13))
-        return total
-
-    # genus-5 shape: a quadratic, b and c linear, d constant
-    forms = [rand_form(2) + rand_form(1) * W + rand_form(1) * V
-             + R.constant(rng.randrange(1, 13)) * W * V for _ in range(3)]
-    res = bilinear_triple_resultant(forms, 3, 4)
-    assert res.total_degree() == 6
-    assert res.degree_in(3) == 0 and res.degree_in(4) == 0
-
-    # forms sharing the zero (W,V) = (w0,v0) for every (x,y,z) give res = 0
-    w0, v0 = F13.element(4), F13.element(11)
-    shared = [(W - R.constant(w0)) * rand_form(1) + (V - R.constant(v0)) * rand_form(1)
-              for _ in range(3)]
-    assert bilinear_triple_resultant(shared, 3, 4).is_zero()
-
-
-def test_bilinear_triple_resultant_matches_elimination():
-    # on random evaluations: res == iterated sylvester resultant divided by
-    # the known extraneous factor (b1*c1 - a1*d1)
-    R = PolyRing(F13, ("x", "y", "z", "W", "V"))
-    x, y, z, W, V = R.gens()
-    rng = random.Random(10)
-    for _ in range(6):
-        coeffs = {}
-        forms = []
-        for i in range(3):
-            a = rand_linear(R, rng, 2)
-            b = rand_linear(R, rng, 1)
-            c = rand_linear(R, rng, 1)
-            d = R.constant(rng.randrange(1, 13))
-            coeffs[i] = (a, b, c, d)
-            forms.append(a + b * W + c * V + d * W * V)
-        res = bilinear_triple_resultant(forms, 3, 4)
-        r12 = resultant(forms[0], forms[1], 3)
-        r13 = resultant(forms[0], forms[2], 3)
-        rr = resultant(r12, r13, 4)
-        a1, b1, c1, d1 = coeffs[0]
-        extraneous = b1 * c1 - a1 * d1
-        prod = res * extraneous
-        assert rr == prod or rr == -prod
-
-
-def rand_linear(R, rng, deg):
-    total = R.zero()
-    for _ in range(3):
-        e = [0, 0, 0, 0, 0]
-        left = deg
-        for idx in (0, 1, 2):
-            k = rng.randrange(left + 1)
-            e[idx] = k
-            left -= k
-        e[0] += left
-        total = total + R.monomial(e, rng.randrange(13))
-    return total
 
 
 def test_partial_eval_and_evaluate():

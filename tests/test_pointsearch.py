@@ -12,7 +12,6 @@ from gonalift.mpoly import PolyRing, derivative
 from gonalift.pointsearch import (
     PointStream,
     ProjPoint,
-    conjugate_point,
     find_point_on_plane_curve,
     line_through,
     points_on_plane_curve,
@@ -215,11 +214,11 @@ def test_conjugate_point():
     r = next(a for i in range(49) for a in [F49.element_at(i)]
              if a * a == F49.element(3) and i > 6)
     p = ProjPoint(F49, [F49.one, r, F49.element(2)])
-    pc = conjugate_point(p)
+    pc = p.conjugate()
     assert pc != p
-    assert conjugate_point(pc) == p
+    assert pc.conjugate() == p
     base_pt = ProjPoint(F49, [F49.one, F49.element(4), F49.element(2)])
-    assert conjugate_point(base_pt) == base_pt
+    assert base_pt.conjugate() == base_pt
     assert base_pt.is_rational() and not p.is_rational()
 
 

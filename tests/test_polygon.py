@@ -4,14 +4,11 @@ import pytest
 
 from gonalift.errors import InputError, ZeroInput
 from gonalift.ff import FqField
-from gonalift.mpoly import PolyRing, monomial_map
+from gonalift.mpoly import PolyRing
 from gonalift.polygon import (
     LatticePolygon,
-    detect_exceptional,
     edge_lattice_points,
-    general_trigonal_target,
     newton_polygon,
-    normalize_to_strip,
     target,
 )
 
@@ -135,69 +132,11 @@ def test_baker_monotone_under_containment():
         assert set(p.interior_points()) <= set(q.interior_points())
 
 
-def test_normalize_identity_when_normal():
-    f = Y ** 2 + X ** 3 + X  # width 2 attained by (0,1)
-    g, (mat, offset) = normalize_to_strip(f)
-    assert mat == ((1, 0), (0, 1))
-    assert offset == (0, 0)
-    assert g == f
-
-
-def test_normalize_swap():
-    f = X ** 2 + Y ** 3 + Y  # strip-normal in x: width 2 via (1,0)
-    g, (mat, offset) = normalize_to_strip(f)
-    assert mat == ((0, 1), (1, 0))
-    assert g == Y ** 2 + X ** 3 + X
-
-
-def test_normalize_roundtrip_random_scramble():
-    rng = random.Random(17)
-    base = Y ** 2 + X ** 5 + X * Y + R.constant(3)
-    w0 = newton_polygon(base).lattice_width()[0]
-    for _ in range(40):
-        mat = _random_unimodular(rng)
-        scrambled, _ = monomial_map(base, mat)
-        g, (m, off) = normalize_to_strip(scrambled)
-        assert g.degree_in(1) == w0
-        p = newton_polygon(g)
-        x0, y0, _, _ = p.bounding_box()
-        assert (x0, y0) == (0, 0)
-
-
-def test_detect_exceptional_sigma():
-    assert detect_exceptional(LatticePolygon([(0, 0), (2, 0), (0, 2)])) == ("d_sigma", 2)
-    assert detect_exceptional(LatticePolygon([(0, 0), (4, 0), (0, 4)])) == ("d_sigma", 4)
-    p = LatticePolygon([(0, 0), (3, 0), (0, 3)])
-    q = p.apply_unimodular(((1, 2), (1, 3)), (5, -1))
-    assert detect_exceptional(q) == ("d_sigma", 3)
-
-
-def test_detect_exceptional_two_upsilon():
-    p = LatticePolygon([(-2, -2), (2, 0), (0, 2)])
-    assert detect_exceptional(p) == ("two_upsilon", None)
-    q = p.apply_unimodular(((2, 1), (1, 1)), (3, 3))
-    assert detect_exceptional(q) == ("two_upsilon", None)
-
-
-def test_detect_exceptional_none():
-    rect = LatticePolygon([(0, 0), (4, 0), (4, 3), (0, 3)])
-    assert detect_exceptional(rect) is None
-    assert detect_exceptional(LatticePolygon([(0, 0), (1, 0), (0, 1)])) is None
-    assert detect_exceptional(LatticePolygon([(0, 0), (5, 0)])) is None
-
-
 def test_named_targets():
     t = target("g3_plain")
     assert t.polygon.vertices == ((0, 0), (4, 0), (0, 4))
-    cone = target("g4_cone")
-    # the stated chain (6,0),(4,1),(2,2),(0,3) is collinear: hull is a triangle
-    assert cone.polygon.vertices == ((0, 0), (6, 0), (0, 3))
-    assert target("g5_cone").polygon.vertices == ((0, 0), (8, 0), (0, 4))
-    assert general_trigonal_target(1, 2).polygon == target("g5_trig_standard").polygon
     with pytest.raises(InputError):
         target("no_such_polygon")
-    with pytest.raises(InputError):
-        general_trigonal_target(3, 1)
 
 
 def test_target_contains_support():
