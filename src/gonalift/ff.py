@@ -146,7 +146,7 @@ class FqElement:
         return result
 
     def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
+        return any(self.coeffs)
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, FqElement) else other
@@ -391,6 +391,9 @@ class FqExtField:
         return FqElement(self, tuple(coeffs))
 
     def embed(self, a):
+        """Coerce, embedding base-field elements; elements of self pass through."""
+        if isinstance(a, FqElement) and a.field == self:
+            return a
         a = self.base.element(a)
         return FqElement(self, (a,) + (self.base.zero,) * (self.k - 1))
 

@@ -103,6 +103,13 @@ class PolyRing:
             raise InputError(f"no variable named {name!r}") from None
 
 
+def _power(pw, k):
+    """v^k from the power list pw = [None, v, v^2, ...], extended as needed."""
+    while len(pw) <= k:
+        pw.append(pw[-1] * pw[1])
+    return pw[k]
+
+
 class MPoly:
     __slots__ = ("ring", "terms")
 
@@ -260,6 +267,8 @@ class MPoly:
 
         ``into`` may be a coefficient ring or a PolyRing, so curves can be
         restricted to parametrized lines by passing polynomial values.
+        The powers of each value are built once per call, by repeated
+        multiplication up to the largest exponent a term asks for.
         """
         ring = into if into is not None else self.ring.coeff_ring
         if len(values) != self.ring.nvars:
@@ -270,25 +279,25 @@ class MPoly:
         else:
             coerce = ring.element
             zero = ring.zero
-        values = [coerce(v) for v in values]
+        powers = [[None, coerce(v)] for v in values]
         acc = zero
         for e, c in self.terms.items():
             t = coerce(c)
-            for i, ei in enumerate(e):
+            for pw, ei in zip(powers, e):
                 if ei:
-                    t = t * values[i] ** ei
+                    t = t * _power(pw, ei)
             acc = acc + t
         return acc
 
     def partial_eval(self, assignments):
         """Evaluate some variables; the result keeps the same ring."""
         ring = self.ring.coeff_ring
-        vals = {var: ring.element(v) for var, v in assignments.items()}
+        vals = {var: [None, ring.element(v)] for var, v in assignments.items()}
         out = {}
         for e, c in self.terms.items():
-            for var, v in vals.items():
+            for var, pw in vals.items():
                 if e[var]:
-                    c = c * v ** e[var]
+                    c = c * _power(pw, e[var])
             if not c:
                 continue
             ne = tuple(0 if i in vals else x for i, x in enumerate(e))
@@ -563,61 +572,61 @@ def resultant(f, g, var, formal_degs=None):
 # bivariate gcd over a field
 
 
-def _as_y_coeffs(f):
-    """Bivariate MPoly -> list (little-endian in var 1) of upoly lists in var 0."""
+def _as_y_coeffs(K, f):
+    """Bivariate MPoly -> list (little-endian in var 1) of kernel lists in var 0."""
     field = f.ring.coeff_ring
     dy = f.degree_in(1)
     dx = f.degree_in(0)
     out = [[field.zero] * (dx + 1) for _ in range(dy + 1)]
     for (i, j), c in f.terms.items():
         out[j][i] = c
-    return [upoly.trim(row) for row in out]
+    return [K.to(row) for row in out]
 
 
-def _from_y_coeffs(ring, rows):
+def _from_y_coeffs(K, ring, rows):
     terms = {}
     for j, row in enumerate(rows):
-        for i, c in enumerate(row):
+        for i, c in enumerate(K.back(row)):
             if c:
                 terms[(i, j)] = c
     return MPoly(ring, terms)
 
 
-def _ycontent(field, rows):
+def _ycontent(K, rows):
     g = []
     for row in rows:
-        g = upoly.gcd(field, g, row)
-        if upoly.degree(g) == 0:
+        g = K.gcd(g, row)
+        if len(g) == 1:
             break
     return g
 
 
-def _ydivide(field, rows, content):
+def _ydivide(K, rows, content):
     out = []
     for row in rows:
-        q, r = upoly.divmod_(field, row, content)
+        q, r = K.divmod(row, content)
         if r:
             raise ArithmeticError("content division left a remainder")
         out.append(q)
     return out
 
 
-def _yprem(field, a_rows, b_rows):
+def _yprem(K, a_rows, b_rows):
     """Pseudo-remainder in the outer variable, fraction-free."""
-    a = [list(r) for r in a_rows]
+    a = list(a_rows)
     da, db = len(a) - 1, len(b_rows) - 1
     lb = b_rows[db]
     for k in range(da - db, -1, -1):
         top = a[k + db]
-        a = [upoly.mul(field, row, lb) for row in a]
+        a = [K.mul(row, lb) for row in a]
         for j in range(db + 1):
-            a[k + j] = upoly.sub(field, a[k + j], upoly.mul(field, top, b_rows[j]))
-    while a and upoly.is_zero(a[-1]):
+            a[k + j] = K.sub(a[k + j], K.mul(top, b_rows[j]))
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _pp_gcd(field, a_rows, b_rows):
+def _pp_gcd(K, a_rows, b_rows):
     """gcd of two primitive polynomials in y over F_q[x]."""
     a, b = a_rows, b_rows
     if len(a) < len(b):
@@ -626,11 +635,10 @@ def _pp_gcd(field, a_rows, b_rows):
         if not b:
             return a
         if len(b) == 1:
-            return [[field.one]]
-        r = _yprem(field, a, b)
+            return [[K.one]]
+        r = _yprem(K, a, b)
         if r:
-            cont = _ycontent(field, r)
-            r = _ydivide(field, r, cont)
+            r = _ydivide(K, r, _ycontent(K, r))
         a, b = b, r
 
 
@@ -639,35 +647,36 @@ def bivariate_gcd(fs):
 
     Subresultant-style primitive PRS in the second variable with content
     splitting over F_q[x]; the result is normalized to leading
-    coefficient 1 in graded lex.
+    coefficient 1 in graded lex.  The rows in y are converted once to
+    ``upoly``'s kernel for the field (int lists mod p over a prime
+    field, lists of elements otherwise) and the whole PRS runs there.
     """
     fs = [f for f in fs if f]
     if not fs:
         raise AllZero("gcd of an all-zero family")
     ring = fs[0].ring
-    field = ring.coeff_ring
     if ring.nvars != 2:
         raise InputError("bivariate_gcd expects two variables")
+    K = upoly._kernel(ring.coeff_ring)
     g = None
     for f in fs:
+        rows = _as_y_coeffs(K, f)
         if g is None:
-            g = f
+            g = rows
             continue
-        g = _gcd2(field, ring, g, f)
-        if g.total_degree() == 0:
-            break
+        g = _gcd2(K, g, rows)
+        if len(g) == 1 and len(g[0]) == 1:
+            break  # a nonzero constant
+    g = _from_y_coeffs(K, ring, g)
     _, lcoeff = g.leading_term()
     return g.scale(lcoeff.inverse())
 
 
-def _gcd2(field, ring, f, g):
-    fr, gr = _as_y_coeffs(f), _as_y_coeffs(g)
-    fcont, gcont = _ycontent(field, fr), _ycontent(field, gr)
-    fpp, gpp = _ydivide(field, fr, fcont), _ydivide(field, gr, gcont)
-    cont = upoly.gcd(field, fcont, gcont)
-    pp = _pp_gcd(field, fpp, gpp)
-    combined = [upoly.mul(field, row, cont) for row in pp]
-    return _from_y_coeffs(ring, combined)
+def _gcd2(K, fr, gr):
+    fcont, gcont = _ycontent(K, fr), _ycontent(K, gr)
+    fpp, gpp = _ydivide(K, fr, fcont), _ydivide(K, gr, gcont)
+    cont = K.gcd(fcont, gcont)
+    return [K.mul(row, cont) for row in _pp_gcd(K, fpp, gpp)]
 
 
 def divide_exact(f, g):

@@ -15,7 +15,8 @@ they stay lists of elements (``_Elements``).  Both kernels offer the
 same methods (``sub``, ``mul``, ``divmod``, ``gcd``, ``pow_mod``, ...),
 so each algorithm is written once.  ``det`` is Bareiss's fraction-free
 elimination on a matrix of polynomials in one variable; ``mpoly``
-computes its Sylvester resultants with it.
+computes its Sylvester resultants with it, and runs its bivariate gcd
+on the kernel's ``gcd``, ``divmod``, ``mul`` and ``sub`` directly.
 
 Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole

@@ -171,6 +171,8 @@ def _common_slice(polys, m):
         if upoly.is_zero(s):
             continue
         common = s if common is None else upoly.gcd(L, common, s)
+        if upoly.degree(common) == 0:
+            break  # no later slice can make the gcd nonconstant again
     return common
 
 
@@ -270,18 +272,33 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
 
     The singular locus is the common zero set of F and its partial
     derivatives (F itself is kept in the system, so no assumption on the
-    characteristic versus the degree is needed); the three affine charts
-    are checked by ``common_affine_zero_exists``.
+    characteristic versus the degree is needed).  P^2 is covered once, by
+    three disjoint pieces, cheapest first:
+
+    * the point (1:0:0), where the system is evaluated;
+    * the line Z = 0 with Y = 1, where the restrictions x -> g(x, 1, 0)
+      share a root exactly when their gcd is nonconstant (when they all
+      vanish, the whole line is singular, (1:0:0) included);
+    * the chart Z != 0, decided by ``common_affine_zero_exists``.
+
+    Each piece is an exact decision over the algebraic closure; no field
+    element is enumerated.
     """
     if F.ring.nvars != 3:
         raise InputError("smoothness test expects a plane projective curve")
     if F.is_zero() or not F.is_homogeneous() or F.total_degree() < 1:
         raise InputError("expected a nonzero form of positive degree")
+    field = F.ring.coeff_ring
     system = [F] + [d for d in (mpoly.derivative(F, i) for i in range(3)) if d]
-    for chart in (2, 1, 0):
-        if common_affine_zero_exists([mpoly.dehomogenize(g, chart) for g in system]):
-            return False
-    return True
+    if not any(g.evaluate([field.one, field.zero, field.zero]) for g in system):
+        return False
+    common = []
+    for g in system:
+        line = g.partial_eval({1: field.one, 2: field.zero})
+        common = upoly.gcd(field, common, _x_coeffs(line, field))
+    if upoly.degree(common) >= 1:
+        return False
+    return not common_affine_zero_exists([mpoly.dehomogenize(g, 2) for g in system])
 
 
 # ---------------------------------------------------------------------------

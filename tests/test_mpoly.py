@@ -307,6 +307,31 @@ def test_bivariate_gcd_examples():
     assert got == f.scale(f.leading_term()[1].inverse())
     with pytest.raises(AllZero):
         bivariate_gcd([R.zero()])
+    # the element kernel: flat F_9, F_25 and the tower F_9[2]
+    rng = random.Random(19)
+    for field in (FqField(3, 2), FqField(5, 2), FqField(3, 2).extension(2)):
+        R = ring2(field)
+        x, y = R.gens()
+        a = field.element_at(field.q - 2)
+        shared = x * y + y ** 2 * a + x + 1
+        pairs = [
+            (shared * (x + y + a), shared * (y ** 2 + x * a)),  # a shared factor
+            ((x + a) * (y ** 2 + x), (x + a) * (x * y + 1)),  # x-content
+            (x ** 2 + y * a + 1, x * y + a),  # coprime
+        ]
+        for _ in range(3):
+            pairs.append(tuple(shared * rand_poly(R, rng, 3, 3) for _ in range(2)))
+        for f, g in pairs:
+            if not f or not g:
+                continue
+            h = bivariate_gcd([f, g])
+            assert h.leading_term()[1] == field.one
+            cf, cg = divide_exact(f, h), divide_exact(g, h)
+            assert cf is not None and cg is not None
+            assert bivariate_gcd([cf, cg]) == R.one()
+        assert bivariate_gcd(pairs[0]) == shared.scale(shared.leading_term()[1].inverse())
+        assert bivariate_gcd(pairs[1]) == x + a
+        assert bivariate_gcd(pairs[2]) == R.one()
 
 
 def test_bivariate_gcd_against_sympy():
@@ -401,3 +426,47 @@ def test_partial_eval_and_evaluate():
     h = x5 ** 2 + y5 + 3
     pt = f25.element([0, 1])
     assert h.evaluate([pt, f25.zero], into=f25) == pt * pt + f25.element(3)
+
+    def by_powers(f, values, into):
+        """Reference: every value raised by ``**`` in every term."""
+        poly = isinstance(into, PolyRing)
+        acc = into.zero() if poly else into.zero
+        for e, c in f.terms.items():
+            t = into.constant(c) if poly else into.element(c)
+            for v, k in zip(values, e):
+                if k:
+                    t = t * v ** k
+            acc = acc + t
+        return acc
+
+    def partial_by_powers(f, assignments):
+        terms = []
+        for e, c in f.terms.items():
+            for var, v in assignments.items():
+                c = c * v ** e[var]
+            terms.append((tuple(0 if i in assignments else k for i, k in enumerate(e)), c))
+        return f.ring.from_terms(terms)
+
+    rng = random.Random(31)
+    flat49, tower49 = FqField(7, 2), F7.extension(2)
+    for field in (F7, flat49, tower49):
+        R3 = PolyRing(field, ("x", "y", "z"))
+        x3 = R3.variable(0)
+        for _ in range(8):
+            # exponents up to 7, with x at several powers in one polynomial
+            f = rand_poly(R3, rng, 8, 8) + x3 ** 7 + x3 ** 5 * 3 + x3 ** 2
+            vals = [field.element_at(rng.randrange(field.q)) for _ in range(3)]
+            assert f.evaluate(vals) == by_powers(f, vals, field)
+            for chosen in ({0: vals[0]}, {0: vals[0], 2: vals[2]}, {1: vals[1]}):
+                assert f.partial_eval(chosen) == partial_by_powers(f, chosen)
+    R3 = PolyRing(F7, ("x", "y", "z"))
+    tring = PolyRing(F7, ("t",))
+    t = tring.variable(0)
+    for _ in range(8):
+        f = rand_poly(R3, rng, 8, 8) + R3.variable(1) ** 7 + R3.variable(1) ** 4
+        for into in (flat49, tower49):
+            vals = [into.element_at(rng.randrange(into.q)) for _ in range(3)]
+            assert f.evaluate(vals, into=into) == by_powers(f, vals, into)
+        # a parametrized line, as tangent_contact restricts a curve to one
+        line = [tring.constant(rng.randrange(7)) + t * rng.randrange(7) for _ in range(3)]
+        assert f.evaluate(line, into=tring) == by_powers(f, line, tring)

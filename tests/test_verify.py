@@ -507,3 +507,82 @@ def test_common_zero_matches_brute_force_over_extensions():
         # conics meet in degree <= 4, so F_{5^4} already sees every point
         seen = any(brute(polys, k) for k in (1, 2, 3, 4))
         assert got == seen
+
+
+def _three_chart_smooth(F):
+    """Reference decision: the singular locus checked on each affine chart."""
+    from gonalift.verify import common_affine_zero_exists
+    system = [F] + [d for d in (mpoly.derivative(F, i) for i in range(3)) if d]
+    return not any(common_affine_zero_exists([mpoly.dehomogenize(g, chart) for g in system])
+                   for chart in (0, 1, 2))
+
+
+def test_smoothness_matches_three_chart_reference():
+    from gonalift.verify import plane_curve_is_smooth
+    rng = random.Random(23)
+    # (field, forms, top degree): fewer forms where the reference is slow
+    cases = [(FqField(3), 80, 4), (FqField(5), 80, 4), (FqField(7), 80, 4),
+             (FqField(3, 2), 20, 4), (FqField(5, 2), 15, 4),
+             (FqField(3, 2).extension(2), 8, 3)]
+    verdicts = set()
+    for field, count, max_degree in cases:
+        R = PolyRing(field, ("X", "Y", "Z"))
+        for _ in range(count):
+            d = rng.randrange(2, max_degree + 1)
+            density = rng.choice([1.0, 0.6, 0.3])
+            F = R.from_terms(((a, b, d - a - b), field.element_at(rng.randrange(field.q)))
+                             for a in range(d + 1) for b in range(d + 1 - a)
+                             if rng.random() < density)
+            if F.total_degree() < 1:
+                continue
+            got = plane_curve_is_smooth(F)
+            assert got == _three_chart_smooth(F), (field, str(F))
+            verdicts.add((str(field), got))
+    assert len(verdicts) == 2 * len(cases)  # both verdicts occur over every field
+
+
+def _singular_at(F, point):
+    field = F.ring.coeff_ring
+    system = [F] + [mpoly.derivative(F, i) for i in range(3)]
+    return not any(g.evaluate([field.element(c) for c in point]) for g in system)
+
+
+def test_smoothness_sees_singular_points_off_the_affine_chart():
+    from gonalift.verify import common_affine_zero_exists, plane_curve_is_smooth
+    R = _proj_ring(13)
+    x, y, z = R.gens()
+    # a node at (1:0:0), the one point with Y = Z = 0
+    at_point = x**2 * (y**2 - z**2) + y**4 + z**4
+    # the node of W^2 (U^2 - V^2) + U^4 + V^4 moved to (2:1:0)
+    on_line = y**2 * ((x - 2 * y) ** 2 - z**2) + (x - 2 * y) ** 4 + z**4
+    # singular where X^2 = 2 Y^2, Z = 0: 2 is not a square mod 13
+    conjugate_pair = (x**2 - 2 * y**2) ** 2 + z * x * (x**2 - 2 * y**2) + z**4
+    # Z = 0 doubled: every point of the line is singular
+    double_line = z**2 * (x**2 + y**2 - z**2)
+    for F in (at_point, on_line, conjugate_pair, double_line):
+        system = [F] + [mpoly.derivative(F, i) for i in range(3)]
+        assert not common_affine_zero_exists([mpoly.dehomogenize(g, 2) for g in system if g])
+        assert not plane_curve_is_smooth(F)
+        assert not _three_chart_smooth(F)
+    assert _singular_at(at_point, (1, 0, 0))
+    system = [at_point] + [mpoly.derivative(at_point, i) for i in range(3)]
+    assert not common_affine_zero_exists([mpoly.dehomogenize(g, 1) for g in system])
+    assert _singular_at(on_line, (2, 1, 0)) and not _singular_at(on_line, (1, 0, 0))
+    assert not any(_singular_at(conjugate_pair, (a, 1, 0)) for a in range(13))
+    assert not _singular_at(conjugate_pair, (1, 0, 0))
+    assert all(_singular_at(double_line, (a, 1, 0)) for a in range(13))
+
+
+def test_smoothness_runs_the_affine_elimination_once(monkeypatch):
+    from gonalift import verify
+    F = random_smooth_quartic(PolyRing(FqField(127), ("X", "Y", "Z")), random.Random(4))
+    calls = []
+    common = verify.common_affine_zero_exists
+
+    def counted(polys):
+        calls.append(len(polys))
+        return common(polys)
+
+    monkeypatch.setattr(verify, "common_affine_zero_exists", counted)
+    assert verify.plane_curve_is_smooth(F)
+    assert len(calls) == 1
