@@ -22,20 +22,12 @@ class SingularMatrix(GonaliftError):
     """A linear change of variables must be invertible."""
 
 
-class DegreeTooSmall(GonaliftError):
-    """Homogenization degree below the total degree."""
-
-
 class ZeroInput(GonaliftError):
     """Resultant of a zero polynomial."""
 
 
 class AllZero(GonaliftError):
     """gcd of an all-zero family."""
-
-
-class NotPolynomial(GonaliftError):
-    """A torus-level exponent change produced negative exponents."""
 
 
 class SingularPoint(GonaliftError):

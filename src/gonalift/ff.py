@@ -13,6 +13,8 @@ rings) works over either without special cases.
 
 from __future__ import annotations
 
+import operator
+
 from . import upoly
 # int lists mod p: the prime-field kernel of upoly, which also does the
 # arithmetic of prime-power fields here and tests their moduli
@@ -79,18 +81,28 @@ class FqElement:
         if isinstance(other, FqElement):
             if other.field is self.field or other.field == self.field:
                 return other
-            emb = getattr(self.field, "embed", None)
-            if emb is not None and other.field == self.field.base:
-                return emb(other)
-            return NotImplemented
+            # the field decides what embeds into it: its base field, or F_p
+            try:
+                return self.field.embed(other)
+            except ValueError:
+                return NotImplemented
         if isinstance(other, int):
             return self.field.element(other)
+        return NotImplemented
+
+    def _in_field_of(self, other, op):
+        """op(self, other) computed in other's field, when self embeds there."""
+        if isinstance(other, FqElement):
+            try:
+                return op(other.field.embed(self), other)
+            except ValueError:
+                pass
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._in_field_of(other, operator.add)
         return FqElement(self.field, self.field._add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
@@ -101,7 +113,7 @@ class FqElement:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._in_field_of(other, operator.sub)
         return FqElement(self.field, self.field._add(self.coeffs, self.field._neg(o.coeffs)))
 
     def __rsub__(self, other):
@@ -113,7 +125,7 @@ class FqElement:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._in_field_of(other, operator.mul)
         return FqElement(self.field, self.field._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
@@ -124,7 +136,7 @@ class FqElement:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._in_field_of(other, operator.truediv)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -155,7 +167,7 @@ class FqElement:
         if o.field is not self.field and o.field != self.field:
             o = self._coerce(o)
             if o is NotImplemented:
-                return False
+                return self._in_field_of(other, operator.eq) is True
         return self.coeffs == o.coeffs
 
     def __hash__(self):

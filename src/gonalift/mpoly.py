@@ -13,13 +13,7 @@ graded lexicographic, everywhere.
 from __future__ import annotations
 
 from . import linalg, upoly
-from .errors import (
-    AllZero,
-    DegreeTooSmall,
-    InputError,
-    NotPolynomial,
-    ZeroInput,
-)
+from .errors import AllZero, InputError, ZeroInput
 
 
 def _glex_key(e):
@@ -432,12 +426,6 @@ class LinearChange:
             images.append(im)
         return substitute(f, images)
 
-    def then(self, other):
-        """The change that applies self's substitution first, then other's."""
-        if other.size != self.size or other.coeff_ring != self.coeff_ring:
-            raise InputError("cannot compose changes of different shape")
-        return LinearChange(self.coeff_ring, linalg.mat_mul(self.rows, other.rows))
-
     def inverse(self):
         if not getattr(self.coeff_ring, "is_field", False):
             raise InputError("matrix inversion requires field coefficients")
@@ -455,7 +443,7 @@ class LinearChange:
 
 
 # ---------------------------------------------------------------------------
-# homogenization
+# dehomogenization
 
 
 def dehomogenize(f, var):
@@ -476,20 +464,34 @@ def dehomogenize(f, var):
     return MPoly(ring, out)
 
 
-def homogenize(f, degree, name, at=None):
-    """Inverse of dehomogenize: insert a variable and pad every term to ``degree``."""
-    d = f.total_degree()
-    if degree < d:
-        raise DegreeTooSmall(f"cannot homogenize degree {d} to {degree}")
-    if at is None:
-        at = f.ring.nvars
-    names = f.ring.names[:at] + (name,) + f.ring.names[at:]
-    ring = PolyRing(f.ring.coeff_ring, names)
-    out = {}
+# ---------------------------------------------------------------------------
+# plane slices
+#
+# Every loop over the slices f(u0, v) of a plane curve goes through these
+# two functions: the rows are built once per polynomial, and each slice
+# is then one Horner evaluation per row, in whatever extension u0 lies.
+
+
+def slice_rows(f, u, v):
+    """Coefficient rows of f, supported on variables u and v, as a polynomial in v.
+
+    Row k is the little-endian list in u of the coefficient of v^k,
+    trimmed (a zero coefficient gives []); the zero polynomial has no
+    rows.  Row 0 of a polynomial free of v is f itself as a list in u.
+    """
+    zero = f.ring.coeff_ring.zero
+    rows = [[] for _ in range(f.degree_in(v) + 1)]
     for e, c in f.terms.items():
-        ne = e[:at] + (degree - sum(e),) + e[at:]
-        out[ne] = c
-    return MPoly(ring, out)
+        row, i = rows[e[v]], e[u]
+        if len(row) <= i:
+            row.extend([zero] * (i + 1 - len(row)))
+        row[i] = c
+    return rows
+
+
+def slice_at(rows, L, u0):
+    """The slice f(u0, v) over the field L of u0, trimmed, from ``slice_rows``."""
+    return upoly.trim([upoly.eval_in(L, row, u0) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +576,7 @@ def resultant(f, g, var, formal_degs=None):
 
 def _as_y_coeffs(K, f):
     """Bivariate MPoly -> list (little-endian in var 1) of kernel lists in var 0."""
-    field = f.ring.coeff_ring
-    dy = f.degree_in(1)
-    dx = f.degree_in(0)
-    out = [[field.zero] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in f.terms.items():
-        out[j][i] = c
-    return [K.to(row) for row in out]
+    return [K.to(row) for row in slice_rows(f, 0, 1)]
 
 
 def _from_y_coeffs(K, ring, rows):
@@ -707,40 +703,6 @@ def divide_exact(f, g):
             else:
                 rem.pop(ne, None)
     return MPoly(ring, quo)
-
-
-# ---------------------------------------------------------------------------
-# torus-level exponent changes (bivariate)
-
-
-def monomial_map(f, mat, offset=None):
-    """Apply an invertible exponent change e -> mat*e + offset to a bivariate f.
-
-    ``mat`` is a 2x2 integer matrix with det +-1; when ``offset`` is None
-    the shift making the support touch both axes is chosen, i.e. the
-    result is the input composed with x <- x^m00 y^m10, y <- x^m01 y^m11
-    times the unique monomial clearing denominators and common factors.
-    Returns (result, used_offset).
-    """
-    (m00, m01), (m10, m11) = mat
-    if abs(m00 * m11 - m01 * m10) != 1:
-        raise InputError("exponent matrix must be unimodular")
-    if f.ring.nvars != 2:
-        raise InputError("monomial_map expects two variables")
-    if not f:
-        return f, (0, 0)
-    mapped = {}
-    for (i, j), c in f.terms.items():
-        mapped[(m00 * i + m01 * j, m10 * i + m11 * j)] = c
-    if offset is None:
-        offset = (-min(e[0] for e in mapped), -min(e[1] for e in mapped))
-    out = {}
-    for (i, j), c in mapped.items():
-        ni, nj = i + offset[0], j + offset[1]
-        if ni < 0 or nj < 0:
-            raise NotPolynomial("exponent change produced a negative exponent")
-        out[(ni, nj)] = c
-    return MPoly(f.ring, out), tuple(offset)
 
 
 def derivative(f, var):

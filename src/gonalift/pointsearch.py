@@ -1,21 +1,30 @@
-"""Rational point search on plane curves and quadric intersections.
+"""Rational point search on plane curves and sampling on curves in P^2-P^5.
 
-Point search goes chart by chart and slice by slice, with univariate
-root extraction per slice, which is exact.  ``points_on_variety`` sweeps
-in canonical order — charts from the last coordinate back, coordinates
-in the field's element order — so "first found" is reproducible and
-searches can be partitioned without changing the reported witness.
-``PointStream`` walks the slices of a plane curve in a seeded order and
-solves them only as points are asked for, so a caller that needs a few
-points pays for a few slices on any field; drained, it is exhaustive
-too.
+A plane curve f(X, Y, Z) = 0 is searched slice by slice: the chart
+X = 1 is cut into the lines Y = u, and each slice f(1, u, v) is a
+univariate solved by exact root extraction.  The slices come from the
+kernel ``mpoly.slice_rows``/``mpoly.slice_at``, which builds the
+coefficient rows of f(1, u, v) once and evaluates them per value of u.
+The line X = 0 is one more slice.  ``points_on_plane_curve`` takes the
+line X = 0 first and then the chart with u in the field's element
+order, so "first found" is reproducible; ``PointStream`` takes the
+chart with u in a seeded order and the line last, and solves a slice
+only as points are asked for, so a caller that needs a few points pays
+for a few slices on any field.  Drained, both are exhaustive.
+
+``sample_curve_points`` draws random rational points of a curve cut out
+by several equations in P^2 through P^5, one random coordinate
+hyperplane at a time, by the same slices in P^2 and by elimination
+otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from . import upoly
 from .errors import InputError, SingularPoint
-from .mpoly import PolyRing, derivative
+from .mpoly import PolyRing, derivative, resultant, slice_at, slice_rows
 
 
 class ProjPoint:
@@ -57,173 +66,58 @@ class ProjPoint:
         return self.conjugate() == self
 
 
-def _univariate(f, pos, field):
-    """f supported on variable pos only -> little-endian coefficient list."""
-    coeffs = {}
-    for e, c in f.terms.items():
-        coeffs[e[pos]] = c
-    if not coeffs:
-        return []
-    out = [field.zero] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return out
+def _chart(f, x, us):
+    """Points (x : u : v) of a plane curve for u in ``us``, slice by slice.
 
-
-def _univariate_at(p, pos, sol, L):
-    """p as univariate in pos, the other variables evaluated into L."""
-    n = p.ring.nvars
-    vals = [sol.get(i, L.zero) for i in range(n)]
-    return upoly.trim([p.coeff_of(pos, k).evaluate(vals, into=L)
-                       for k in range(p.degree_in(pos) + 1)])
-
-
-def _solve_two_vars(polys, field, upos, vpos, u_values=None, ext=None):
-    """Common zeros (u, v) of polynomials supported on vars upos, vpos.
-
-    Yields pairs in canonical order.  ``u_values`` restricts (and orders)
-    the u-slices, which is how the seeded ``PointStream`` plugs in.
-    With ``ext`` the zeros are taken in the extension while resultants
-    stay over the (cheap) coefficient field.
+    The points of one slice are the roots of f(x, u, v) in v, in the
+    field's element order; every v when the slice vanishes (the line
+    through (x : u : 0) and (0 : 0 : 1) is a component of the curve).
     """
-    L = ext if ext is not None else field
-    actives = [p for p in polys if p]  # identically-zero restrictions impose nothing
-    if any(p.total_degree() == 0 for p in actives):
-        return
-    external = u_values is not None
-    if u_values is None:
-        base_values = (field.element_at(i) for i in range(field.q))
-        u_values = [L.embed(u) for u in base_values] if ext is not None else list(base_values)
-    if not actives:
-        for u in u_values:
-            for j in range(L.q):
-                yield u, L.element_at(j)
-        return
-    candidates = None
-    if len(actives) >= 2:
-        from .mpoly import resultant
-        r = resultant(actives[0], actives[1], vpos)
-        if r:
-            rc = _univariate(r, upos, field)
-            if ext is not None:
-                rc = [L.element(c) for c in rc]
-            candidates = upoly.roots(L, rc) if upoly.degree(rc) > 0 else []
-            if not external:
-                u_values = candidates  # already sorted canonically
-    for u in u_values:
-        if external and candidates is not None and u not in candidates:
-            continue
-        if ext is None:
-            slices = [_univariate(p.partial_eval({upos: u}), vpos, field) for p in actives]
+    field = f.ring.coeff_ring
+    rows = slice_rows(f.partial_eval({0: x}), 1, 2)
+    for u in us:
+        s = slice_at(rows, field, u)
+        if not s:
+            vs = field.elements()
+        elif len(s) > 1:
+            vs = upoly.roots(field, s)
         else:
-            slices = [_univariate_at(p, vpos, {upos: u}, L) for p in actives]
-        if all(upoly.is_zero(s) for s in slices):
-            for j in range(L.q):
-                yield u, L.element_at(j)
             continue
-        g = None
-        for s in slices:
-            if upoly.is_zero(s):
-                continue
-            g = s if g is None else upoly.gcd(L, g, s)
-        if upoly.degree(g) < 1:
-            continue
-        for v in upoly.roots(L, g):
-            yield u, v
+        for v in vs:
+            yield ProjPoint(field, [x, u, v])
 
 
-def points_on_variety(polys, limit=None):
-    """Common projective zeros of homogeneous polynomials in 3-5 variables.
-
-    All of them, or the first ``limit``, in canonical (lexicographic)
-    order over charts.
-    """
-    polys = [p for p in polys if p is not None]
-    if not polys:
-        raise InputError("need at least one equation")
-    ring = polys[0].ring
-    field = ring.coeff_ring
-    n = ring.nvars
-    if n not in (3, 4, 5):
-        raise InputError("point search works in P^2, P^3, P^4")
-    found = []
-
-    def emit(coords):
-        found.append(ProjPoint(field, coords))
-        return limit is not None and len(found) >= limit
-
-    for chart in range(n - 1, -1, -1):
-        free = list(range(chart + 1, n))
-        base = {i: field.zero for i in range(chart)}
-        base[chart] = field.one
-        if not free:
-            if all(not p.evaluate([base.get(i, field.zero) for i in range(n)])
-                   for p in polys):
-                if emit([base.get(i, field.zero) for i in range(n)]):
-                    return found
-            continue
-        if len(free) == 1:
-            pos = free[0]
-            restricted = [p.partial_eval(base) for p in polys]
-            slices = [_univariate(p, pos, field) for p in restricted if p]
-            if any(upoly.degree(s) == 0 for s in slices):
-                continue  # a nonzero constant equation kills the slice
-            if not slices:
-                for j in range(field.q):
-                    coords = dict(base)
-                    coords[pos] = field.element_at(j)
-                    if emit([coords.get(i, field.zero) for i in range(n)]):
-                        return found
-                continue
-            g = None
-            for s in slices:
-                g = s if g is None else upoly.gcd(field, g, s)
-            if upoly.degree(g) >= 1:
-                for v in upoly.roots(field, g):
-                    coords = dict(base)
-                    coords[pos] = v
-                    if emit([coords.get(i, field.zero) for i in range(n)]):
-                        return found
-            continue
-        upos, vpos = free[-2], free[-1]
-        mids = free[:-2]
-        for mid_vals in _enumerate_assignments(field, mids):
-            fixed = dict(base)
-            fixed.update(mid_vals)
-            restricted = [p.partial_eval(fixed) for p in polys]
-            for u, v in _solve_two_vars(restricted, field, upos, vpos):
-                coords = dict(fixed)
-                coords[upos] = u
-                coords[vpos] = v
-                if emit([coords.get(i, field.zero) for i in range(n)]):
-                    return found
-    return found
+def _line(f):
+    """Points of a plane curve on the line X = 0: (0:0:1), then (0:1:v) by v."""
+    field = f.ring.coeff_ring
+    if not f.evaluate([field.zero, field.zero, field.one]):
+        yield ProjPoint(field, [0, 0, 1])
+    yield from _chart(f, field.zero, [field.one])
 
 
-def _enumerate_assignments(field, positions):
-    for idx in range(field.q ** len(positions)):
-        rem = idx
-        out = {}
-        # last position varies fastest, preserving lexicographic order
-        for pos in reversed(positions):
-            out[pos] = field.element_at(rem % field.q)
-            rem //= field.q
-        yield out
+def _check_plane_curve(f):
+    if not f or not f.is_homogeneous() or f.ring.nvars != 3:
+        raise InputError("expected a nonzero homogeneous polynomial in X, Y, Z")
 
 
 def points_on_plane_curve(f, limit=None):
-    """All (or the first ``limit``) points of a plane projective curve."""
-    if not f or not f.is_homogeneous():
-        raise InputError("expected a nonzero homogeneous polynomial")
-    return points_on_variety([f], limit=limit)
+    """All (or the first ``limit``) points of a plane projective curve.
+
+    In canonical order, lexicographic in the coordinates' element
+    indices: the line X = 0, then the chart X = 1 slice by slice.
+    """
+    _check_plane_curve(f)
+    field = f.ring.coeff_ring
+    walk = itertools.chain(_line(f), _chart(f, field.one, field.elements()))
+    return list(itertools.islice(walk, limit))
 
 
 def find_point_on_plane_curve(f, rng=None):
     """One rational point, or None when the exhausted search finds none.
 
-    Without ``rng``: the lexicographically first point.  With ``rng``:
+    Without ``rng``: the first point in canonical order.  With ``rng``:
     the first point of the seeded ``PointStream``.  Either search stops
-    at its first point and sweeps every slice only when there is none.
+    at its first point and solves every slice only when there is none.
     """
     if rng is not None:
         return PointStream(f, rng).point(0)
@@ -243,8 +137,7 @@ class PointStream:
     """
 
     def __init__(self, f, rng):
-        if not f or not f.is_homogeneous() or f.ring.nvars != 3:
-            raise InputError("expected a nonzero homogeneous polynomial in X, Y, Z")
+        _check_plane_curve(f)
         self._found = []
         self._rest = _seeded_walk(f, rng)
 
@@ -265,15 +158,60 @@ def _seeded_walk(f, rng):
     b = rng.randrange(1, q)
     while b % field.p == 0:
         b = rng.randrange(1, q)
-    u_values = (field.element_at((a + b * i) % q) for i in range(q))
-    chart = [f.partial_eval({0: field.one})]
-    for u, v in _solve_two_vars(chart, field, 1, 2, u_values=u_values):
-        yield ProjPoint(field, [field.one, u, v])
-    yield from points_on_variety([f, f.ring.variable(0)])
+    yield from _chart(f, field.one, (field.element_at((a + b * i) % q) for i in range(q)))
+    yield from _line(f)
+
+
+def _univariate_at(p, pos, sol, L):
+    """p as univariate in pos, the other variables evaluated into L."""
+    n = p.ring.nvars
+    vals = [sol.get(i, L.zero) for i in range(n)]
+    return upoly.trim([p.coeff_of(pos, k).evaluate(vals, into=L)
+                       for k in range(p.degree_in(pos) + 1)])
+
+
+def _slice_gcd(rows, L, u):
+    """gcd over L of the nonzero slices at u, one per equation's rows; None when all vanish."""
+    g = None
+    for r in rows:
+        s = slice_at(r, L, u)
+        if s:
+            g = s if g is None else upoly.gcd(L, g, s)
+    return g
+
+
+def _solve_two_vars(polys, field, upos, vpos, ext=None):
+    """Common zeros (u, v) of nonzero polynomials supported on vars upos, vpos.
+
+    The candidates for u are the roots of the resultant of the first two
+    equations when it is nonzero, and every element of the coefficient
+    field otherwise; each candidate's slices come from the equations'
+    slice rows.  Yields pairs in canonical order.  With ``ext`` the
+    zeros are taken in the extension while the resultant stays over the
+    (cheap) coefficient field.
+    """
+    L = ext if ext is not None else field
+    if any(p.total_degree() == 0 for p in polys):
+        return
+    candidates = field.elements() if ext is None else map(L.embed, field.elements())
+    if len(polys) >= 2:
+        r = resultant(polys[0], polys[1], vpos)
+        if r:
+            rc = [L.element(c) for c in slice_rows(r, upos, vpos)[0]]
+            candidates = upoly.roots(L, rc) if len(rc) > 1 else []
+    rows = [slice_rows(p, upos, vpos) for p in polys]
+    for u in candidates:
+        g = _slice_gcd(rows, L, u)
+        if g is None:
+            for v in L.elements():
+                yield u, v
+        elif len(g) > 1:
+            for v in upoly.roots(L, g):
+                yield u, v
 
 
 def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
-    """Common zeros of a system expected to be finite on ``unknowns``.
+    """Common zeros of a system expected to be finite on two or more ``unknowns``.
 
     Eliminates down to two variables through pairwise resultants, then
     back-substitutes slice by slice.  Returns a list of assignment dicts,
@@ -290,17 +228,6 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
         return []
     if not actives:
         return None
-    if len(unknowns) == 1:
-        pos = unknowns[0]
-        g = None
-        for p in actives:
-            s = _univariate(p, pos, field)
-            g = s if g is None else upoly.gcd(field, g, s)
-        if upoly.degree(g) < 1:
-            return []
-        if ext is not None:
-            g = [L.element(c) for c in g]
-        return [{pos: v} for v in upoly.roots(L, g)]
     if len(unknowns) == 2:
         out = []
         for u, v in _solve_two_vars(actives, field, unknowns[0], unknowns[1], ext=ext):
@@ -308,8 +235,6 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
             if len(out) >= cap:
                 break
         return out
-    from .mpoly import resultant
-
     # eliminate the variable with the cheapest pivot, preferring linear ones
     best = None
     for w in unknowns:
@@ -345,10 +270,7 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
         for p in actives:
             if p.degree_in(wpos) == 0:
                 continue
-            if ext is None:
-                s = _univariate(p.partial_eval(sol), wpos, field)
-            else:
-                s = _univariate_at(p, wpos, sol, L)
+            s = _univariate_at(p, wpos, sol, L)
             if upoly.is_zero(s):
                 continue
             g = s if g is None else upoly.gcd(L, g, s)
@@ -363,15 +285,29 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
     return out
 
 
+def _solve_plane_slice(rows, field, a, L):
+    """Common roots in L of the slices f(a, w) of plane equations.
+
+    ``rows`` holds each equation's slice rows on one chart; the slices
+    and their gcd stay over the coefficient field, and only the gcd is
+    split in L.  A slice on which every equation vanishes gives nothing.
+    """
+    g = _slice_gcd(rows, field, a)
+    if g is None or len(g) < 2:
+        return []
+    return upoly.roots(L, [L.element(c) for c in g])
+
+
 def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     """Seeded random rational points of a projective curve in 3-6 variables.
 
-    Each draw slices the curve with a random chart and one random
-    coordinate hyperplane, so the residual system is zero-dimensional
-    and solvable by elimination; every candidate is re-checked against
-    the full system before being kept.  Trades the canonical order of
-    points_on_variety for coverage on fields too large to sweep.  A
-    slice drawn again is not solved again, and drawing stops once all
+    Each draw takes a random chart x_c = 1, a random position i and a
+    random value a, and solves the curve on the hyperplane x_i = a of
+    that chart: in P^2 that is one slice of the plane curve, solved from
+    slice rows built once per (chart, position); in P^3-P^5 the residual
+    system is zero-dimensional and solved by elimination.  Every
+    candidate is re-checked against the full system before being kept.
+    A slice drawn again is not solved again, and drawing stops once all
     n(n-1)q slices have been drawn: on a small field the result is then
     every point the slices reach.
 
@@ -392,6 +328,7 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     found = []
     seen = set()
     solved = set()  # (chart, position, value): a repeated draw finds nothing new
+    rows = {}  # (chart, position) -> slice rows of each equation, in P^2
     budget = tries if tries is not None else max(32 * limit, 64)
     while budget > 0 and len(found) < limit and len(solved) < n * (n - 1) * field.q:
         budget -= 1
@@ -402,8 +339,16 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
         if (chart, pos, fixed[pos]) in solved:
             continue
         solved.add((chart, pos, fixed[pos]))
-        restricted = [p.partial_eval(fixed) for p in polys]
-        sols = _solve_zero_dim(restricted, field, free, ext=ext)
+        if n == 3:
+            w = free[0]
+            if (chart, pos) not in rows:
+                rows[chart, pos] = [slice_rows(p.partial_eval({chart: field.one}), pos, w)
+                                    for p in polys]
+            sols = [{w: v} for v in _solve_plane_slice(rows[chart, pos], field,
+                                                      fixed[pos], L)]
+        else:
+            restricted = [p.partial_eval(fixed) for p in polys]
+            sols = _solve_zero_dim(restricted, field, free, ext=ext)
         if not sols:
             continue
         for sol in sols:
@@ -479,7 +424,7 @@ def _contact_profile(f, p, line):
     t = tring.variable(0)
     values = [tring.constant(pc) + t * vc for pc, vc in zip(p.coords, v.coords)]
     g = f.evaluate(values, into=tring)
-    coeffs = _univariate(g, 0, field)
+    coeffs = [g.coeff((k,)) for k in range(g.total_degree() + 1)]
     deg_total = f.total_degree()
     if upoly.is_zero(coeffs):
         raise InputError("line is a component of the curve")

@@ -130,38 +130,6 @@ class LatticePolygon:
         return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
                 if self.contains_point((x, y))]
 
-    def spread(self, direction):
-        a, b = direction
-        vals = [a * x + b * y for x, y in self.vertices]
-        return max(vals) - min(vals)
-
-    def lattice_width(self, radius=None):
-        """(width, primitive direction); ties prefer (0,1), then (1,0)."""
-        x0, y0, x1, y1 = self.bounding_box()
-        if radius is None:
-            radius = max(x1 - x0, y1 - y0, 1)
-        best = None
-        for b in range(0, radius + 1):
-            for a in range(-radius, radius + 1):
-                if b == 0 and a <= 0:
-                    continue
-                if math.gcd(abs(a), b) != 1:
-                    continue
-                w = self.spread((a, b))
-                pref = 0 if (a, b) == (0, 1) else (1 if (a, b) == (1, 0) else 2)
-                key = (w, pref, b, abs(a), -a)
-                if best is None or key < best[0]:
-                    best = (key, w, (a, b))
-        return best[1], best[2]
-
-    def apply_unimodular(self, mat, offset=(0, 0)):
-        (m00, m01), (m10, m11) = mat
-        if abs(m00 * m11 - m01 * m10) != 1:
-            raise InputError("matrix must be unimodular")
-        return LatticePolygon([(m00 * x + m01 * y + offset[0],
-                                m10 * x + m11 * y + offset[1])
-                               for x, y in self.vertices])
-
     def to_json(self):
         return {"vertices": [list(v) for v in self.vertices]}
 

@@ -115,14 +115,6 @@ def mul(field, a, b):
     return trim(out)
 
 
-def shift(field, a, k):
-    """Multiply by x^k."""
-    a = trim(a)
-    if not a:
-        return []
-    return [field.zero] * k + a
-
-
 def divmod_(field, a, b):
     """Quotient and remainder; b must be nonzero."""
     a = trim(a)
@@ -190,13 +182,6 @@ def pow_mod(field, a, e, m):
     return K.back(K.pow_mod(K.to(a), e, K.to(m)))
 
 
-def eval_at(field, a, x):
-    acc = field.zero
-    for c in reversed(trim(a)):
-        acc = acc * x + c
-    return acc
-
-
 def eval_in(ext, a, x):
     """Evaluate with coefficients embedded into the extension of x."""
     acc = ext.zero
@@ -207,22 +192,6 @@ def eval_in(ext, a, x):
 
 def derivative(field, a):
     return trim([a[i] * field.element(i) for i in range(1, len(a))])
-
-
-def interpolate(field, points):
-    """Newton interpolation through distinct (x, y) pairs."""
-    xs = [field.element(x) for x, _ in points]
-    ys = [field.element(y) for _, y in points]
-    n = len(xs)
-    # divided differences, in place
-    coeffs = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * (xs[i] - xs[i - level]).inverse()
-    poly = []
-    for i in range(n - 1, -1, -1):
-        poly = add(field, mul(field, poly, [-xs[i], field.one]), [coeffs[i]])
-    return trim(poly)
 
 
 def resultant(field, a, b):

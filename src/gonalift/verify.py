@@ -88,16 +88,6 @@ def _strip_monomial_content(f: MPoly) -> MPoly:
     return f.ring.from_terms(((e[0] - sx, e[1] - sy), c) for e, c in f.terms.items())
 
 
-def _x_coeffs(g: MPoly, field):
-    """Little-endian coefficient list of a polynomial supported on x only."""
-    if g.is_zero():
-        return []
-    out = [field.zero] * (g.degree_in(0) + 1)
-    for e, c in g.terms.items():
-        out[e[0]] = c
-    return upoly.trim(out)
-
-
 def _edge_coeffs(f: MPoly, v0, v1):
     """The edge polynomial: coefficients of f along the lattice points of an edge."""
     field = f.ring.coeff_ring
@@ -120,12 +110,12 @@ def _candidate_eliminant(polys):
     polys = [p for p in polys if p]
     for p in polys:
         if p.degree_in(1) == 0:
-            return _x_coeffs(p, field)
+            return mpoly.slice_rows(p, 0, 1)[0]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             r = mpoly.resultant(polys[i], polys[j], 1)
             if r:
-                return _x_coeffs(r, field)
+                return mpoly.slice_rows(r, 0, 1)[0]
     if len(polys) < 2:
         raise InputError("eliminant of a positive-dimensional system")
     h = mpoly.bivariate_gcd(polys[:2])
@@ -135,16 +125,6 @@ def _candidate_eliminant(polys):
     e1 = _candidate_eliminant([h] + rest)
     e2 = _candidate_eliminant([a, b] + rest)
     return upoly.mul(field, e1, e2)
-
-
-def _slice_at(g: MPoly, alpha, ext):
-    """The univariate g(alpha, y) over the extension containing alpha."""
-    field = g.ring.coeff_ring
-    out = []
-    for k in range(g.degree_in(1) + 1):
-        ck = _x_coeffs(g.coeff_of(1, k), field)
-        out.append(upoly.eval_in(ext, ck, alpha))
-    return upoly.trim(out)
 
 
 def _common_slice(polys, m):
@@ -167,7 +147,7 @@ def _common_slice(polys, m):
         alpha = L.element([0, 1])
     common = None
     for p in polys:
-        s = _slice_at(p, alpha, L)
+        s = mpoly.slice_at(mpoly.slice_rows(p, 0, 1), L, alpha)
         if upoly.is_zero(s):
             continue
         common = s if common is None else upoly.gcd(L, common, s)
@@ -294,8 +274,8 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
         return False
     common = []
     for g in system:
-        line = g.partial_eval({1: field.one, 2: field.zero})
-        common = upoly.gcd(field, common, _x_coeffs(line, field))
+        rows = mpoly.slice_rows(g.partial_eval({2: field.zero}), 1, 0)
+        common = upoly.gcd(field, common, mpoly.slice_at(rows, field, field.one))
     if upoly.degree(common) >= 1:
         return False
     return not common_affine_zero_exists([mpoly.dehomogenize(g, 2) for g in system])
@@ -327,10 +307,10 @@ def toric_point_count(fbar: MPoly, k: int = 1, cert: Nondegeneracy = None) -> in
     P = polygon.newton_polygon(F)
     if P.double_area() == 0:
         raise InputError("point counting needs a two-dimensional Newton polygon")
-    xpolys = [_x_coeffs(F.coeff_of(1, j), field) for j in range(F.degree_in(1) + 1)]
+    rows = mpoly.slice_rows(F, 0, 1)
 
     def torus_roots_at(x0):
-        s = upoly.trim([upoly.eval_in(L, cs, x0) for cs in xpolys])
+        s = mpoly.slice_at(rows, L, x0)
         if upoly.is_zero(s):
             raise DegenerateModel("the model vanishes on a vertical line")
         while not s[0]:
@@ -414,13 +394,6 @@ def select_step(indices) -> dict:
     return {"kind": "select", "indices": list(indices)}
 
 
-def monomial_step(mat, offset=None) -> dict:
-    step = {"kind": "monomial", "mat": [list(map(int, row)) for row in mat]}
-    if offset is not None:
-        step["offset"] = [int(offset[0]), int(offset[1])]
-    return step
-
-
 def _apply_step(state, step, field):
     kind = step["kind"]
     ring = state[0].ring
@@ -449,10 +422,6 @@ def _apply_step(state, step, field):
         return [mpoly.bivariate_gcd(list(state))]
     if kind == "select":
         return [state[i] for i in step["indices"]]
-    if kind == "monomial":
-        mat = tuple(tuple(row) for row in step["mat"])
-        offset = tuple(step["offset"]) if "offset" in step else None
-        return [mpoly.monomial_map(f, mat, offset)[0] for f in state]
     raise InputError(f"unknown trail step kind {kind!r}")
 
 
@@ -507,21 +476,6 @@ def _forward_step(coords, names, step, L, field, inv):
     if kind == "project":
         keep = [names.index(nm) for nm in step["keep"]]
         return tuple(coords[i] for i in keep), tuple(step["names"])
-    if kind == "monomial":
-        if len(coords) != 2 or not (coords[0] and coords[1]):
-            return None, names
-        m = step["mat"]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        inv = [[m[1][1] // det, -m[0][1] // det], [-m[1][0] // det, m[0][0] // det]]
-        new = []
-        for col in (0, 1):
-            acc = L.one
-            for row in (0, 1):
-                e = inv[row][col]
-                base = coords[row] if e >= 0 else coords[row].inverse()
-                acc = acc * base ** abs(e)
-            new.append(acc)
-        return tuple(new), names
     raise InputError(f"unknown trail step kind {kind!r}")
 
 
@@ -631,27 +585,6 @@ class LiftReport:
                    notes=data.get("notes"))
 
 
-def _affine_plane_pool(f: MPoly, L, count, rng):
-    """Random points on an affine plane model over L, exact per slice."""
-    field = f.ring.coeff_ring
-    xpolys = [_x_coeffs(f.coeff_of(1, j), field) for j in range(f.degree_in(1) + 1)]
-    found = []
-    seen = set()
-    for _ in range(max(8 * count, 32)):
-        if len(found) >= count:
-            break
-        x0 = L.element_at(rng.randrange(L.q))
-        s = upoly.trim([upoly.eval_in(L, cs, x0) for cs in xpolys])
-        if upoly.is_zero(s) or upoly.degree(s) < 1:
-            continue
-        for y0 in upoly.roots(L, s):
-            key = (L.index_of(x0), L.index_of(y0))
-            if key not in seen:
-                seen.add(key)
-                found.append((x0, y0))
-    return found
-
-
 def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     """Push sample points of the input model through the trail onto the lift.
 
@@ -666,20 +599,13 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     field = report.field
     red = report.reduction()
     names = report.input_gens[0].ring.names
-    half = (samples + 1) // 2
     pool = []
     try:
-        if len(names) == 2:
-            for fld, want in ((field, half), (ff.flat_extension(field, 2), samples - half)):
-                for x0, y0 in _affine_plane_pool(report.input_gens[0], fld, want, rng):
-                    pool.append(((x0, y0), fld))
-        else:
-            for pt in sample_curve_points(report.input_gens, half, rng):
-                pool.append((pt.coords, field))
-            ext = ff.flat_extension(field, 2)
-            for pt in sample_curve_points(report.input_gens, samples - len(pool),
-                                          rng, ext=ext):
-                pool.append((pt.coords, ext))
+        for pt in sample_curve_points(report.input_gens, (samples + 1) // 2, rng):
+            pool.append((pt.coords, field))
+        ext = ff.flat_extension(field, 2)
+        for pt in sample_curve_points(report.input_gens, samples - len(pool), rng, ext=ext):
+            pool.append((pt.coords, ext))
     except InputError:
         pool = []
     if not pool:

@@ -205,3 +205,26 @@ def test_element_hash_and_equality():
     assert f7a.element(3) != f7a.element(4)
     assert f7a.element(3) == 3
     assert len({f7a.element(1), f7b.element(1)}) == 1
+
+
+def test_mixed_fields_embed_the_smaller_element():
+    f7, f49 = FqField(7), FqField(7, 2)
+    a, c = f49.element([3, 2]), f7.element(4)
+    # a flat F_{p^n} element meets an F_p element in F_{p^n}, in either order
+    assert a + c == c + a == a + f49.embed(c)
+    assert a - c == a - f49.embed(c) and c - a == f49.embed(c) - a
+    assert a * c == c * a == a * f49.embed(c)
+    assert a / c == a / f49.embed(c) and c / a == f49.embed(c) / a
+    assert f49.element(4) == c and c == f49.element(4)
+    assert a != c and c != a
+    # unrelated fields neither mix nor compare equal
+    f5, f9 = FqField(5), FqField(3).extension(2)
+    for x, y in ((f49.one, f5.one), (f5.one, f49.one), (f9.one, f49.one)):
+        assert (x == y) is False and x != y
+        with pytest.raises(TypeError):
+            x + y
+    # a tower still embeds the elements of its base field
+    f81 = f9.extension(2)
+    b = f9.element_at(5)
+    assert f81.one + b == b + f81.one == f81.one + f81.embed(b)
+    assert f81.embed(b) == b

@@ -5,14 +5,11 @@ import pytest
 import sympy
 
 from gonalift import linalg, mpoly, upoly
-from gonalift.errors import (
-    AllZero, DegreeTooSmall, InputError, NotPolynomial,
-    SingularMatrix, ZeroInput,
-)
-from gonalift.ff import FqField
+from gonalift.errors import AllZero, InputError, SingularMatrix, ZeroInput
+from gonalift.ff import FqField, flat_extension
 from gonalift.mpoly import (
     LinearChange, PolyRing, bivariate_gcd, dehomogenize, derivative, divide_exact,
-    from_dict, homogenize, monomial_map, resultant, substitute,
+    from_dict, resultant, slice_at, slice_rows, substitute,
 )
 from gonalift.ok import OkRing
 
@@ -117,7 +114,7 @@ def test_linear_change_examples_and_action():
             continue
         f = rand_poly(R3, rng)
         lhs = B.apply(A.apply(f))
-        assert lhs == A.then(B).apply(f)
+        assert lhs == LinearChange(F7, linalg.mat_mul(A.rows, B.rows)).apply(f)
         back = A.inverse().apply(A.apply(f))
         assert back == f
         assert f.total_degree() == A.apply(f).total_degree() \
@@ -137,10 +134,7 @@ def test_dehomogenize_homogenize():
     assert d.ring.names == ("X", "Y")
     x, y = d.ring.gens()
     assert d == x ** 2 + y
-    assert homogenize(d, 2, "Z") == f
     assert dehomogenize(Z ** 3, 2) == dehomogenize(Z ** 3, 2).ring.one()
-    with pytest.raises(DegreeTooSmall):
-        homogenize(d, 1, "Z")
 
 
 def test_resultant_examples():
@@ -368,27 +362,6 @@ def test_divide_exact():
         divide_exact(f, R.zero())
 
 
-def test_monomial_map():
-    R = ring2()
-    x, y = R.gens()
-    # (i,j) -> (6-i-2j, j): x^6 f(1/x, y/x^2) on support with i+2j <= 6
-    f = x ** 4 + y ** 3 + y + 1
-    g, offset = monomial_map(f, ((-1, -2), (0, 1)), offset=(6, 0))
-    assert g == x ** 2 + y ** 3 + x ** 4 * y + x ** 6
-    assert offset == (6, 0)
-    # the map is an involution on that strip
-    back, _ = monomial_map(g, ((-1, -2), (0, 1)), offset=(6, 0))
-    assert back == f
-    # automatic clearing picks the minimal shift
-    g2, off2 = monomial_map(x ** 4 + x ** 2 * y, ((-1, -2), (0, 1)))
-    assert off2 == (4, 0)
-    assert g2 == R.one() + y
-    with pytest.raises(NotPolynomial):
-        monomial_map(f, ((-1, -2), (0, 1)), offset=(0, 0))
-    with pytest.raises(InputError):
-        monomial_map(f, ((2, 0), (0, 1)))
-
-
 def test_derivative():
     R = ring2()
     x, y = R.gens()
@@ -470,3 +443,48 @@ def test_partial_eval_and_evaluate():
         # a parametrized line, as tangent_contact restricts a curve to one
         line = [tring.constant(rng.randrange(7)) + t * rng.randrange(7) for _ in range(3)]
         assert f.evaluate(line, into=tring) == by_powers(f, line, tring)
+
+
+def test_slice_rows_and_slice_at_match_partial_evaluation():
+    def by_partial_eval(f, u, v, u0):
+        """f(u0, v) over f's own field: partial_eval, then v's coefficients."""
+        g = f.partial_eval({u: u0})
+        e = [0] * f.ring.nvars
+        out = []
+        for k in range(g.degree_in(v) + 1):
+            e[v] = k
+            out.append(g.coeff(e))
+        return upoly.trim(out)
+
+    def by_evaluation(f, u, v, L, u0):
+        """f(u0, v) over an extension L: each coefficient of v^k evaluated into L."""
+        vals = [L.zero] * f.ring.nvars
+        vals[u] = u0
+        return upoly.trim([f.coeff_of(v, k).evaluate(vals, into=L)
+                           for k in range(f.degree_in(v) + 1)])
+
+    rng = random.Random(17)
+    for field in (F7, FqField(5, 2), FqField(3, 2).extension(2)):
+        ext = flat_extension(field, 2)
+        R3 = PolyRing(field, ("X", "Y", "Z"))
+        X, Y, Z = R3.gens()
+        for _ in range(6):
+            # a random form of degree at most 4 on the chart X = 1, in Y and Z
+            d = rng.randint(0, 4)
+            form = R3.from_terms(((d - a - b, a, b), field.random_element(rng))
+                                 for a in range(d + 1) for b in range(d + 1 - a))
+            f = form.partial_eval({0: field.one})
+            a = field.random_element(rng)
+            vanishing = f * (Y - a)  # its slice at Y = a is zero
+            for g in (f, vanishing, R3.zero(), Y * Y - a, Z * Z + Z * a):
+                for u, v in ((1, 2), (2, 1)):
+                    rows = slice_rows(g, u, v)
+                    assert len(rows) == g.degree_in(v) + 1
+                    assert all(row == upoly.trim(row) for row in rows)
+                    for u0 in [a] + [field.random_element(rng) for _ in range(3)]:
+                        want = by_partial_eval(g, u, v, u0)
+                        assert slice_at(rows, field, u0) == want
+                        if g is vanishing and u == 1 and u0 == a:
+                            assert want == []
+                    for u0 in [ext.embed(a)] + [ext.random_element(rng) for _ in range(2)]:
+                        assert slice_at(rows, ext, u0) == by_evaluation(g, u, v, ext, u0)

@@ -15,7 +15,6 @@ from gonalift.pointsearch import (
     find_point_on_plane_curve,
     line_through,
     points_on_plane_curve,
-    points_on_variety,
     sample_curve_points,
     special_points,
     tangent_line,
@@ -27,22 +26,30 @@ R7 = PolyRing(F7, ("X", "Y", "Z"))
 X, Y, Z = R7.gens()
 
 
-def brute_force_points(f):
-    field = f.ring.coeff_ring
-    n = f.ring.nvars
+def brute_force_points(*polys):
+    """Common zeros of the polys, one normalized representative per point."""
+    field = polys[0].ring.coeff_ring
+    n = polys[0].ring.nvars
     seen = set()
-    total = field.q ** n
-    for idx in range(total):
-        rem = idx
-        coords = []
-        for _ in range(n):
-            coords.append(field.element_at(rem % field.q))
-            rem //= field.q
-        if not any(coords):
-            continue
-        if not f.evaluate(coords):
-            seen.add(ProjPoint(field, coords))
+    for lead in range(n):
+        for idx in range(field.q ** (n - 1 - lead)):
+            coords = [field.zero] * lead + [field.one]
+            for _ in range(n - 1 - lead):
+                coords.append(field.element_at(idx % field.q))
+                idx //= field.q
+            if not any(f.evaluate(coords) for f in polys):
+                seen.add(ProjPoint(field, coords))
     return seen
+
+
+def drained_sample(polys, rng):
+    """Every point sample_curve_points reaches once it has drawn every slice."""
+    return sample_curve_points(polys, 10 ** 6, rng)
+
+
+#: a conic and a line through the slice Y/X = 2 of the chart X = 1, whose
+#: slice f(1, 2, v) vanishes identically
+LINE_AND_CONIC = (Y - 2 * X) * (X * X + Y * Y - Z * Z)
 
 
 def test_projpoint_normalization():
@@ -71,6 +78,7 @@ def test_plane_curve_matches_brute_force():
         if not f:
             continue
         assert set(points_on_plane_curve(f)) == brute_force_points(f)
+    assert set(points_on_plane_curve(LINE_AND_CONIC)) == brute_force_points(LINE_AND_CONIC)
 
 
 def test_lex_first_point():
@@ -109,6 +117,10 @@ def test_point_stream_drains_to_every_point_once():
             got = _drain(PointStream(f, random.Random(rng.randrange(100))))
             assert len(got) == len(set(got))
             assert set(got) == set(points_on_plane_curve(f))
+    for seed in range(4):
+        got = _drain(PointStream(LINE_AND_CONIC, random.Random(seed)))
+        assert len(got) == len(set(got))
+        assert set(got) == set(points_on_plane_curve(LINE_AND_CONIC))
 
 
 def test_point_stream_is_seeded():
@@ -130,18 +142,19 @@ def test_sample_curve_points_solves_each_slice_once(monkeypatch):
     want = set(points_on_plane_curve(f))
     assert len(want) < 25
     calls = []
-    real = pointsearch._solve_zero_dim
+    real = pointsearch.slice_at
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pointsearch, "_solve_zero_dim", counting)
+    monkeypatch.setattr(pointsearch, "slice_at", counting)
     t0 = time.perf_counter()
     got = sample_curve_points([f], 25, random.Random(0))
     assert time.perf_counter() - t0 < 3.0
     assert len(got) == len(want) and set(got) == want
-    assert len(calls) <= 3 * 2 * 9  # charts x positions x values
+    # one slice of the one equation per draw that is solved
+    assert 0 < len(calls) <= 3 * 2 * 9  # charts x positions x values
 
 
 POINTLESS_QUARTIC_F3 = {
@@ -170,11 +183,12 @@ def test_variety_intersection_in_p3():
     x, y, z, w = R4.gens()
     quadric = x * y - z * w
     cubic = x ** 3 + y ** 3 + z ** 3 + w ** 3
-    pts = points_on_variety([quadric, cubic], limit=5)
-    assert len(pts) == 5
+    pts = drained_sample([quadric, cubic], random.Random(0))
+    assert len(pts) >= 5
     for p in pts:
         assert not quadric.evaluate(list(p.coords))
         assert not cubic.evaluate(list(p.coords))
+    assert set(pts) == brute_force_points(quadric, cubic)
 
 
 def test_variety_exhaustive_matches_brute_force_p3():
@@ -183,7 +197,7 @@ def test_variety_exhaustive_matches_brute_force_p3():
     x, y, z, w = R4.gens()
     quadric = x * y - z * w
     cubic = x ** 3 + y ** 3 + z ** 3 + w * w * x
-    mine = set(points_on_variety([quadric, cubic]))
+    mine = set(drained_sample([quadric, cubic], random.Random(0)))
     brute = set()
     for idx in range(3 ** 4):
         rem = idx
@@ -202,11 +216,12 @@ def test_variety_three_quadrics_p4():
     R5 = PolyRing(F7, ("X", "Y", "Z", "V", "W"))
     x, y, z, v, w = R5.gens()
     qs = [x * x - z * v, x * y - z * w, x * w - y * v]
-    pts = points_on_variety(qs, limit=4)
-    assert len(pts) == 4
+    pts = drained_sample(qs, random.Random(0))
+    assert len(pts) >= 4
     for p in pts:
         for q in qs:
             assert not q.evaluate(list(p.coords))
+    assert set(pts) == brute_force_points(*qs)
 
 
 def test_conjugate_point():

@@ -77,48 +77,6 @@ def test_interior_matches_pick():
         assert len(p.interior_points()) == _pick_interior_count(p)
 
 
-def test_lattice_widths():
-    w, v = LatticePolygon([(0, 0), (3, 0), (0, 3)]).lattice_width()
-    assert w == 3
-    two_upsilon = LatticePolygon([(-2, -2), (2, 0), (0, 2)])
-    assert two_upsilon.lattice_width()[0] == 4
-    w, v = LatticePolygon([(0, 0), (1, 0), (1, 1), (0, 1)]).lattice_width()
-    assert (w, v) == (1, (0, 1))
-    assert LatticePolygon([(5, 5)]).lattice_width()[0] == 0
-    # width of a segment is 0 in the orthogonal direction
-    assert LatticePolygon([(0, 0), (3, 1)]).lattice_width()[0] == 0
-
-
-def _random_unimodular(rng):
-    mat = ((1, 0), (0, 1))
-    for _ in range(rng.randint(1, 5)):
-        k = rng.randint(-3, 3)
-        if rng.random() < 0.5:
-            step = ((1, k), (0, 1))
-        else:
-            step = ((1, 0), (k, 1))
-        if rng.random() < 0.3:
-            step = (step[1], step[0])
-        mat = (
-            (mat[0][0] * step[0][0] + mat[0][1] * step[1][0],
-             mat[0][0] * step[0][1] + mat[0][1] * step[1][1]),
-            (mat[1][0] * step[0][0] + mat[1][1] * step[1][0],
-             mat[1][0] * step[0][1] + mat[1][1] * step[1][1]),
-        )
-    return mat
-
-
-def test_width_unimodular_invariance():
-    rng = random.Random(11)
-    for _ in range(60):
-        pts = [(rng.randrange(9), rng.randrange(9)) for _ in range(rng.randint(3, 8))]
-        p = LatticePolygon(pts)
-        mat = _random_unimodular(rng)
-        q = p.apply_unimodular(mat, (rng.randint(-4, 4), rng.randint(-4, 4)))
-        assert p.lattice_width()[0] == q.lattice_width()[0]
-        assert len(p.interior_points()) == len(q.interior_points())
-
-
 def test_baker_monotone_under_containment():
     rng = random.Random(13)
     for _ in range(60):

@@ -99,17 +99,6 @@ def test_resultant_matches_sylvester_determinant():
         assert got.coeffs[0] == expected
 
 
-def test_eval_and_interpolate_roundtrip():
-    rng = random.Random(5)
-    field = FqField(101)
-    for _ in range(20):
-        a = rand_poly(field, rng, rng.randrange(0, 9))
-        pts = [(field.element_at(i), upoly.eval_at(field, a, field.element_at(i)))
-               for i in range(10)]
-        back = upoly.interpolate(field, pts)
-        assert back == upoly.trim(a)
-
-
 def test_roots_and_count_roots():
     rng = random.Random(6)
     for field in (F7, F9, FqField(101), FqField(1009)):

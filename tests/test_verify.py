@@ -14,7 +14,7 @@ from gonalift.mpoly import LinearChange, PolyRing, substitute
 from gonalift.ok import OkRing
 from gonalift.verify import (LiftReport, check_nondegenerate, dehomog_step,
                              forward_point, gcd_step, linear_step, make_monic,
-                             monomial_step, overall_status, project_step,
+                             overall_status, project_step,
                              replay_mod_p, run_checks, sample_birational,
                              select_step, substitute_step, toric_point_count)
 
@@ -242,28 +242,6 @@ def test_trail_linear_dehomog_project():
     assert defined > 0
 
 
-def test_trail_monomial_consistency():
-    F13 = FqField(13)
-    r = PolyRing(F13, ("x", "y"))
-    x, y = r.gens()
-    f = y**2 - x**3 - x
-    for mat in (((1, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (3, 1))):
-        trail = [monomial_step(mat)]
-        g = replay_mod_p([f], trail)
-        assert g == mpoly.monomial_map(f, mat)[0]
-        hits = 0
-        for i in range(1, 13):
-            for j in range(1, 13):
-                pt = (F13.element(i), F13.element(j))
-                if f.evaluate(list(pt)):
-                    continue
-                img = forward_point(pt, ("x", "y"), trail, F13)
-                assert img is not None  # torus points stay in the torus
-                assert not g.evaluate(list(img))
-                hits += 1
-        assert hits > 0
-
-
 def test_trail_replay_guards():
     with pytest.raises(InputError):
         replay_mod_p([], [])
@@ -275,7 +253,8 @@ def test_trail_replay_guards():
     for step in ({"kind": "scale", "index": 0, "value": [2]},
                  {"kind": "resultant", "var": "y", "i": 0, "j": 0,
                   "formal_degs": [1, 1]},
-                 {"kind": "dixon", "w": "x", "v": "y"}):
+                 {"kind": "dixon", "w": "x", "v": "y"},
+                 {"kind": "monomial", "mat": [[1, 1], [0, 1]]}):
         with pytest.raises(InputError):
             replay_mod_p([X + Y], [step])
         with pytest.raises(InputError):
@@ -325,6 +304,9 @@ def _weierstrass_report(corrupt=False):
     r = PolyRing(field, ("x", "y"))
     x, y = r.gens()
     fbar = y**2 - x**3 - 2 * x - 1
+    # the input is the projective closure; the trail dehomogenizes it at Z
+    Xp, Yp, Zp = PolyRing(field, ("X", "Y", "Z")).gens()
+    closure = Yp**2 * Zp - Xp**3 - 2 * Xp * Zp**2 - Zp**3
     lift_ring = PolyRing(order, ("x", "y"))
     f = fbar.map_coefficients(order.naive_lift, lift_ring)
     if corrupt:
@@ -332,8 +314,9 @@ def _weierstrass_report(corrupt=False):
     verts = polygon.newton_polygon(fbar).vertices
     return LiftReport(order=order, f=f, gamma=2, genus=1,
                       target="weierstrass", target_vertices=verts,
-                      baker=True, trail=[], input_kind="weierstrass",
-                      input_gens=[fbar], seed=9)
+                      baker=True,
+                      trail=[dehomog_step("Z"), project_step(["X", "Y"], ["x", "y"])],
+                      input_kind="weierstrass", input_gens=[closure], seed=9)
 
 
 def test_report_checks_pass_on_faithful_lift():
