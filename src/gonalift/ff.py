@@ -13,12 +13,13 @@ rings) works over either without special cases.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from . import upoly
 # int lists mod p: the prime-field kernel of upoly, which also does the
 # arithmetic of prime-power fields here and tests their moduli
-from .upoly import _v_irreducible, _vmul, _vrem, _vtrim, _vxgcd
+from .upoly import _sqrt_mod, _v_irreducible, _vmul, _vrem, _vtrim, _vxgcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -171,6 +172,10 @@ class FqElement:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # ``==`` embeds subfield elements, so an element whose coefficients
+        # past the first vanish hashes like that first coefficient
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field._hash_key, self.coeffs))
 
     def __repr__(self):
@@ -502,14 +507,21 @@ def flat_extension(field, k):
 
     Flat fields do int-vector arithmetic, which is what keeps the
     sampling and counting loops affordable; prime-field elements embed
-    into them directly.  Over a non-prime base the relative tower is the
-    only faithful choice.
+    into them directly.  The flat field is one object per (p, k), so
+    elements drawn in different calls share their field.  Over a
+    non-prime base the relative tower is the only faithful choice.
     """
     if k == 1:
         return field
     if isinstance(field, FqField) and field.n == 1:
-        return FqField(field.p, k)
+        return _flat_field(field.p, k)
     return FqExtField(field, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_field(p, n):
+    """FqField(p, n), built once per (p, n) so its modulus search runs once."""
+    return FqField(p, n)
 
 
 def _chi2(field, a):
@@ -537,7 +549,13 @@ def _nonresidue(field):
 
 
 def _sqrt(field, a):
-    """Tonelli-Shanks square root in F_q, or None for non-residues."""
+    """Tonelli-Shanks square root in F_q, or None for non-residues.
+
+    Over a prime field it runs on ints, in ``upoly._sqrt_mod``.
+    """
+    if getattr(field, "n", 0) == 1:
+        r = _sqrt_mod(a.coeffs[0], field.p)
+        return None if r is None else field.element(r)
     if not a:
         return field.zero
     if _chi2(field, a) == -1:

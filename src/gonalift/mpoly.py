@@ -12,7 +12,10 @@ graded lexicographic, everywhere.
 
 from __future__ import annotations
 
+import operator
+
 from . import linalg, upoly
+from .ff import FqElement
 from .errors import AllZero, InputError, ZeroInput
 
 
@@ -97,10 +100,10 @@ class PolyRing:
             raise InputError(f"no variable named {name!r}") from None
 
 
-def _power(pw, k):
+def _power(pw, k, mul=operator.mul):
     """v^k from the power list pw = [None, v, v^2, ...], extended as needed."""
     while len(pw) <= k:
-        pw.append(pw[-1] * pw[1])
+        pw.append(mul(pw[-1], pw[1]))
     return pw[k]
 
 
@@ -262,11 +265,25 @@ class MPoly:
         ``into`` may be a coefficient ring or a PolyRing, so curves can be
         restricted to parametrized lines by passing polynomial values.
         The powers of each value are built once per call, by repeated
-        multiplication up to the largest exponent a term asks for.
+        multiplication up to the largest exponent a term asks for.  Into
+        a field, every value and coefficient is coerced once and the sum
+        is taken on coefficient vectors with the field's ``_mul`` and
+        ``_add``, so only the result becomes a field element.
         """
         ring = into if into is not None else self.ring.coeff_ring
         if len(values) != self.ring.nvars:
             raise InputError("wrong number of values")
+        if getattr(ring, "is_field", False):
+            element, mul, add = ring.element, ring._mul, ring._add
+            powers = [[None, element(v).coeffs] for v in values]
+            acc = ring.zero.coeffs
+            for e, c in self.terms.items():
+                t = element(c).coeffs
+                for pw, ei in zip(powers, e):
+                    if ei:
+                        t = mul(t, _power(pw, ei, mul))
+                acc = add(acc, t)
+            return FqElement(ring, acc)
         if isinstance(ring, PolyRing):
             coerce = lambda v: v if isinstance(v, MPoly) else ring.constant(v)
             zero = ring.zero()

@@ -314,7 +314,11 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     With ``ext`` the points are taken in the extension field.  The
     slicing hyperplanes stay rational, which keeps elimination over the
     base field; a curve section of degree d still throws off plenty of
-    points of residue degree up to d across slices.
+    points of residue degree up to d across slices.  In P^2 the slice
+    gcd has coefficients in F_q, so over a prime field F_p with ext =
+    F_{p^2} its roots come from factoring over F_p, with the quadratic
+    factors solved in closed form (``upoly.roots``); the re-check
+    evaluates each equation on coefficient vectors (``MPoly.evaluate``).
     """
     polys = [p for p in polys if p is not None and p]
     if not polys:

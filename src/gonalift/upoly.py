@@ -22,8 +22,11 @@ Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole
 field by a ``random.Random`` under a fixed seed, local to each call.
 Over a flat F_{p^n} with n >= 2, a polynomial whose coefficients all
-lie in F_p is first factored over F_p on the int kernel, and only its
-irreducible factors of degree d >= 2 with d | n are split over F_{p^n}.
+lie in F_p is first factored over F_p on the int kernel.  Over F_{p^2}
+its irreducible quadratic factors then take their roots in closed form,
+from one square root mod p (``_sqrt_mod``, the int Tonelli-Shanks that
+``ff`` also uses for prime fields); otherwise only its irreducible
+factors of degree d >= 2 with d | n are split over F_{p^n}.
 Roots come out sorted by the field's enumeration index and factors in a
 fixed order, so the draws and the path change only the time taken,
 never the output.
@@ -293,8 +296,9 @@ def _roots_of_prime_field_poly(field, a, rng, found):
 
     They are the roots of the F_p-irreducible factors of a whose degree d
     divides n, so a is factored over F_p on the int kernel; a linear
-    factor gives its root directly, and only the factors with d >= 2 are
-    split over F_{p^n}.
+    factor gives its root directly.  Over F_{p^2} a quadratic factor
+    gives its two roots in closed form (``_quadratic_roots``); only the
+    other factors with d >= 2 are split over F_{p^n}.
     """
     P = _Ints(field.p)
     E = _Elements(field)
@@ -304,8 +308,26 @@ def _roots_of_prime_field_poly(field, a, rng, found):
             d = len(h) - 1
             if d == 1:
                 found.append(field.element(P.root(h)))
+            elif n == 2 and d == 2:
+                found.extend(field.element(r) for r in _quadratic_roots(field, h))
             elif n % d == 0:
                 _split_linear(E, [field.element(c) for c in h], rng, found)
+
+
+def _quadratic_roots(field, h):
+    """Both roots in flat F_{p^2} of an F_p-irreducible monic quadratic, as coefficient pairs.
+
+    For h = x^2 + b x + c they are (-b +- sqrt(D))/2 with D = b^2 - 4c.
+    With the field's modulus t^2 + m1 t + m0, the element 2t + m1
+    squares to M = m1^2 - 4 m0; D and M are both non-squares mod p, so
+    D/M has a square root r mod p and sqrt(D) = r (2t + m1).
+    """
+    p = field.p
+    m0, m1 = field.modulus[0], field.modulus[1]
+    c, b = h[0], h[1]
+    r = _sqrt_mod((b * b - 4 * c) * pow(m1 * m1 - 4 * m0, p - 2, p) % p, p)
+    half = (p + 1) // 2
+    return [((-b + r * m1) * half % p, r), ((-b - r * m1) * half % p, -r % p)]
 
 
 def _linear_part(K, a):
@@ -738,6 +760,42 @@ def _vxgcd(a, b, p):
         r0, r1 = r1, r
         u0, u1 = u1, _vsub(u0, _vmul(q, u1, p), p)
     return r0, _vtrim(u0)
+
+
+def _sqrt_mod(a, p):
+    """A square root of the int a mod p by Tonelli-Shanks, or None for a non-square.
+
+    The root is a^((p+1)/4) when p = 3 mod 4; otherwise the smallest
+    non-square mod p drives the search.
+    """
+    a %= p
+    if not a:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s, t = 0, p - 1
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m = s
+    c = pow(z, t, p)
+    r = pow(a, (t + 1) // 2, p)
+    u = pow(a, t, p)
+    while u != 1:
+        i = 0
+        probe = u
+        while probe != 1:
+            probe = probe * probe % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m = i
+        c = b * b % p
+        u = u * c % p
+        r = r * b % p
+    return r
 
 
 def _v_irreducible(f, p):

@@ -156,6 +156,11 @@ def _common_slice(polys, m):
     return common
 
 
+def _nested_ints(c):
+    """A field element as its coefficient list, one level of nesting per tower step."""
+    return [x if isinstance(x, int) else _nested_ints(x) for x in c.coeffs]
+
+
 def _interior_failures(F: MPoly):
     """Witnesses against nondegeneracy on the two-dimensional face."""
     field = F.ring.coeff_ring
@@ -177,8 +182,7 @@ def _interior_failures(F: MPoly):
         if upoly.degree(m) == 1 and not m[0]:
             continue  # x = 0 lies outside the torus
         common = _common_slice([F] + actives, m)
-        witness = {"face": "interior",
-                   "x_min_poly": [[int(c) for c in cf.coeffs] for cf in m]}
+        witness = {"face": "interior", "x_min_poly": [_nested_ints(cf) for cf in m]}
         if common is None:
             witness["reason"] = "the face vanishes on a vertical line"
             fails.append(witness)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gonalift.ff import FqField, FqExtField, chi2, sqrt, frobenius, is_prime
+from gonalift.ff import (FqField, FqExtField, chi2, flat_extension, frobenius,
+                         is_prime, sqrt)
 
 
 def test_is_prime_small():
@@ -98,8 +99,9 @@ def test_chi2_examples():
 
 
 def test_sqrt_exhaustive_small_fields():
-    for field in (FqField(7), FqField(13), FqField(17), FqField(3, 2),
-                  FqField(5, 2), FqField(3, 4), FqField(11, 2)):
+    for field in (FqField(3), FqField(5), FqField(7), FqField(13), FqField(17),
+                  FqField(41), FqField(3, 2), FqField(5, 2), FqField(3, 4),
+                  FqField(11, 2)):
         for a in field.elements():
             r = sqrt(a)
             if chi2(a) == -1:
@@ -205,6 +207,35 @@ def test_element_hash_and_equality():
     assert f7a.element(3) != f7a.element(4)
     assert f7a.element(3) == 3
     assert len({f7a.element(1), f7b.element(1)}) == 1
+
+
+def test_equal_elements_of_a_field_and_its_extension_hash_alike():
+    f7, f49 = FqField(7), FqField(7, 2)
+    f9 = FqField(3, 2)
+    f81 = f9.extension(2)
+    f6561 = f81.extension(2)
+    pairs = [(f7.element(4), f49.element(4)), (f7.zero, f49.zero),
+             (f9.element([1, 2]), f81.embed(f9.element([1, 2]))),
+             (f81.element_at(11), f6561.embed(f81.element_at(11)))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        d = {a: "small"}
+        d[b] = "big"
+        assert d == {a: "big"}
+    assert f7.element(4) == 4 and hash(f7.element(4)) == hash(4)
+    # elements outside the subfield stay apart
+    assert len({f49.element([4, 1]), f49.element(4), f7.element(4)}) == 2
+    assert len({f81.element_at(11), f81.element_at(12)}) == 2
+
+
+def test_flat_extension_is_built_once_per_prime_and_degree():
+    f127 = FqField(127)
+    assert flat_extension(f127, 2) is flat_extension(FqField(127), 2)
+    assert flat_extension(f127, 2) is not flat_extension(f127, 3)
+    assert flat_extension(f127, 1) is f127
+    f9 = FqField(3, 2)
+    assert isinstance(flat_extension(f9, 2), FqExtField)
 
 
 def test_mixed_fields_embed_the_smaller_element():

@@ -440,9 +440,17 @@ def test_partial_eval_and_evaluate():
         for into in (flat49, tower49):
             vals = [into.element_at(rng.randrange(into.q)) for _ in range(3)]
             assert f.evaluate(vals, into=into) == by_powers(f, vals, into)
+        # F_7 values too, embedded as the F_7 coefficients are
+        vals = [F7.element_at(rng.randrange(7)) for _ in range(3)]
+        for into in (flat49, tower49):
+            got = f.evaluate(vals, into=into)
+            assert got.field is into
+            assert got == by_powers(f, [into.element(v) for v in vals], into)
+            assert got == f.evaluate(vals)
         # a parametrized line, as tangent_contact restricts a curve to one
         line = [tring.constant(rng.randrange(7)) + t * rng.randrange(7) for _ in range(3)]
         assert f.evaluate(line, into=tring) == by_powers(f, line, tring)
+    assert R3.zero().evaluate([1, 2, 3], into=tower49) == tower49.zero
 
 
 def test_slice_rows_and_slice_at_match_partial_evaluation():

@@ -6,8 +6,12 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
+from fixtures import random_smooth_quartic
 from gonalift import upoly
 from gonalift.ff import FqField
+from gonalift.lift3 import Genus3Input, lift_genus3
+from gonalift.mpoly import PolyRing
+from gonalift.verify import sample_birational
 
 F7 = FqField(7)
 F9 = FqField(3, 2)
@@ -323,3 +327,41 @@ def test_roots_of_fp_defined_polys_match_element_path(p, n):
         assert upoly.roots(L, a) == _element_path_roots(L, a)
     with pytest.raises(ValueError):
         upoly.roots(L, [L.zero, L.zero])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 127, 1009])
+def test_quadratic_factors_over_fp2_match_element_path(p):
+    # p = 3 mod 4 for 3, 7, 127 and p = 1 mod 4 for 5, 13, 1009: both
+    # branches of the F_p square root behind the closed-form roots
+    L = FqField(p, 2)
+    rng = random.Random(p)
+    quads = [poly(L, _irreducible_over_fp(p, 2, rng)) for _ in range(4)]
+    lin = [poly(L, [rng.randrange(p), 1]) for _ in range(2)]
+    cases = list(quads)
+    cases.append(upoly.mul(L, quads[0], quads[1]))
+    cases.append(upoly.mul(L, upoly.mul(L, quads[2], lin[0]), lin[1]))
+    cases.append(upoly.mul(L, upoly.mul(L, quads[3], quads[3]), lin[0]))
+    cases.append(upoly.mul(L, upoly.mul(L, quads[1], lin[1]), lin[1]))
+    for a in cases:
+        got = upoly.roots(L, a)
+        assert got == _element_path_roots(L, a)
+        assert all(not upoly.eval_in(L, a, r) for r in got)
+    for q in quads:
+        assert len(upoly.roots(L, q)) == 2
+
+
+def test_sample_birational_over_fp2_skips_the_element_kernel(monkeypatch):
+    rng = random.Random(127)
+    F = random_smooth_quartic(PolyRing(FqField(127), ("X", "Y", "Z")), rng)
+    report = lift_genus3(Genus3Input(F), seed=127)
+    calls = []
+    pow_mod = upoly._Elements.pow_mod
+
+    def counted(self, a, e, m):
+        calls.append(self.field)
+        return pow_mod(self, a, e, m)
+
+    monkeypatch.setattr(upoly._Elements, "pow_mod", counted)
+    out = sample_birational(report)
+    assert out["status"] == "pass" and out["sampled"] > 25  # F_{q^2} points too
+    assert calls == []

@@ -98,6 +98,17 @@ def test_degenerate_rational_torus_node():
     assert fail["x_min_poly"] == [[6], [1]]
 
 
+def test_degenerate_torus_node_over_a_tower():
+    # the node of (y - 1)^2 - x (x - 1)^2 at (1, 1), over F_9[2]
+    field = FqField(3, 2).extension(2)
+    x, y = PolyRing(field, ("x", "y")).gens()
+    cert = check_nondegenerate((y - 1) ** 2 - x * (x - 1) ** 2)
+    assert not cert.ok
+    fail = next(f for f in cert.failures if f["face"] == "interior")
+    assert fail["x_min_poly"] == [[[2, 0], [0, 0]], [[1, 0], [0, 0]]]  # x - 1
+    json.dumps(cert.to_json())
+
+
 def test_degenerate_conjugate_torus_nodes():
     # branches cross where x^2 = 3, a nonsquare, so only over F_49
     f = (Y - 1) * (Y + 2 - X**2)
