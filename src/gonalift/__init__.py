@@ -8,14 +8,12 @@ Newton-polygon combinatorics and sampling.
 
 __version__ = "0.1.0"
 
-from .ff import FqField, FqExtField, FqElement, chi2, sqrt, frobenius
+from .ff import FqField, FqElement, chi2, sqrt
 
 __all__ = [
     "FqField",
-    "FqExtField",
     "FqElement",
     "chi2",
     "sqrt",
-    "frobenius",
     "__version__",
 ]

@@ -1,14 +1,17 @@
-"""Finite fields F_q = F_p[t]/(m(t)) of odd characteristic, with extensions.
+"""Finite fields F_q = F_p[t]/(m(t)) of odd characteristic.
 
 ``FqField(p, n, modulus)`` models F_q for q = p^n; elements carry a
-fixed-length coefficient vector, little-endian in t, always reduced.
-``FqExtField(base, k, modulus)`` models F_{q^k} as a relative extension
-with coefficients in the base field, and provides the relative
-Frobenius x -> x^q.
+fixed-length vector of ints, little-endian in t, always reduced.  It is
+the one field class: the extension F_{q^k} is the flat field F_{p^(nk)}
+(``flat_extension``), and the residue field F_q[x]/(m) of an irreducible
+m is a flat F_{p^(n deg m)} together with a root of m (``residue_field``).
 
-Both field kinds share one element class whose arithmetic delegates to
-the owning field, so generic code (univariate toolkit, polynomial
-rings) works over either without special cases.
+F_q embeds into every F_{p^N} with n | N by sending t to the first root
+of its modulus in F_{p^N}'s enumeration order (Lenstra, "Finding
+isomorphisms between finite fields", Math. Comp. 1991); the map is built
+once per pair of fields.  ``FqField.element`` and ``embed`` apply it on
+request.  Arithmetic and ``==`` coerce only ints and elements of the
+prime field, so elements that compare equal hash alike.
 """
 
 from __future__ import annotations
@@ -66,10 +69,12 @@ def _smallest_irreducible(p, n):
 
 
 class FqElement:
-    """Element of an FqField or FqExtField; immutable, structurally equal.
+    """Element of an FqField; immutable, structurally equal.
 
-    ``coeffs`` holds ints for prime-power fields and base-field elements
-    for relative extensions.
+    ``coeffs`` is the tuple of its ints mod p, little-endian in t.
+    Arithmetic with an int or an element of the prime field F_p works in
+    this element's field; an element of a proper subfield F_q with q > p
+    must first be embedded with ``field.element`` or ``field.embed``.
     """
 
     __slots__ = ("field", "coeffs")
@@ -82,22 +87,19 @@ class FqElement:
         if isinstance(other, FqElement):
             if other.field is self.field or other.field == self.field:
                 return other
-            # the field decides what embeds into it: its base field, or F_p
-            try:
-                return self.field.embed(other)
-            except ValueError:
-                return NotImplemented
+            if other.field.n == 1 and other.field.p == self.field.p:
+                return self.field.element(other)
+            return NotImplemented
         if isinstance(other, int):
             return self.field.element(other)
         return NotImplemented
 
     def _in_field_of(self, other, op):
-        """op(self, other) computed in other's field, when self embeds there."""
+        """op(self, other) computed in other's field, when self is an F_p element."""
         if isinstance(other, FqElement):
-            try:
-                return op(other.field.embed(self), other)
-            except ValueError:
-                pass
+            o = other._coerce(self)
+            if o is not NotImplemented:
+                return op(o, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -162,18 +164,16 @@ class FqElement:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, FqElement) else other
-        if o is NotImplemented or not isinstance(o, FqElement):
-            return NotImplemented
-        if o.field is not self.field and o.field != self.field:
-            o = self._coerce(o)
-            if o is NotImplemented:
-                return self._in_field_of(other, operator.eq) is True
+        o = self._coerce(other)
+        if o is NotImplemented:
+            if not isinstance(other, FqElement):
+                return NotImplemented
+            return self._in_field_of(other, operator.eq) is True
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        # ``==`` embeds subfield elements, so an element whose coefficients
-        # past the first vanish hashes like that first coefficient
+        # ``==`` embeds F_p elements, so an element whose coefficients past
+        # the first vanish hashes like that first coefficient
         if not any(self.coeffs[1:]):
             return hash(self.coeffs[0])
         return hash((self.field._hash_key, self.coeffs))
@@ -216,10 +216,6 @@ class FqField:
         self.one = FqElement(self, (1,) + (0,) * (n - 1))
         self._nonresidue = None
 
-    @property
-    def absolute_degree(self):
-        return self.n
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -236,12 +232,26 @@ class FqField:
     # -- element construction and enumeration
 
     def element(self, value):
+        """An int, a coefficient list, or an element of a subfield, as an element here.
+
+        A subfield element passes through the embedding that sends its
+        field's t to the first root of that field's modulus here.
+        """
         if isinstance(value, FqElement):
-            if value.field == self:
+            src = value.field
+            if src is self or src == self:
                 return value
-            if value.field.p == self.p and getattr(value.field, "n", 0) == 1:
+            if src.p == self.p and src.n == 1:
                 return self.element(int(value.coeffs[0]))  # prime subfield embeds
-            raise ValueError("element of a different field")
+            if src.p == self.p and self.n % src.n == 0:
+                images = _embedding(src, self)
+                out = [0] * self.n
+                for c, image in zip(value.coeffs, images):
+                    if c:
+                        for i, b in enumerate(image):
+                            out[i] += c * b
+                return FqElement(self, tuple(c % self.p for c in out))
+            raise ValueError("element of a field that does not embed here")
         if isinstance(value, int):
             return FqElement(self, (value % self.p,) + (0,) * (self.n - 1))
         coeffs = [int(c) % self.p for c in value]
@@ -251,7 +261,7 @@ class FqField:
         return FqElement(self, tuple(coeffs))
 
     def embed(self, a):
-        """Coerce, embedding prime-field elements; mirrors the tower interface."""
+        """An element of a subfield (or an int) as an element here; see ``element``."""
         return self.element(a)
 
     def frobenius(self, x):
@@ -333,195 +343,84 @@ class FqField:
     def sqrt(self, a):
         return _sqrt(self, self.element(a))
 
-    def extension(self, k, modulus=None):
-        return FqExtField(self, k, modulus)
 
+@functools.lru_cache(maxsize=256)
+def _embedding(small, big):
+    """Images in ``big`` of 1, t, ..., t^(n-1), t the generator of ``small``.
 
-class FqExtField:
-    """Relative extension F_{q^k} over an FqField or another extension."""
-
-    is_field = True
-
-    def __init__(self, base, k, modulus=None):
-        if k < 1:
-            raise ValueError("relative degree must be >= 1")
-        self.base = base
-        self.k = k
-        self.p = base.p
-        self.q = base.q ** k
-        if modulus is None:
-            modulus = self._scan_modulus()
-        modulus = upoly.trim([base.element(c) for c in modulus])
-        if upoly.degree(modulus) != k or modulus[-1] != base.one:
-            raise ValueError("modulus must be monic of degree k over the base")
-        if not upoly.is_irreducible(base, modulus):
-            raise ValueError("modulus is not irreducible over the base field")
-        self.modulus = list(modulus)
-        self._hash_key = ("ext", base._hash_key, tuple(c.coeffs for c in modulus))
-        self.zero = FqElement(self, (base.zero,) * k)
-        self.one = FqElement(self, (base.one,) + (base.zero,) * (k - 1))
-        self._nonresidue = None
-
-    @property
-    def absolute_degree(self):
-        return self.base.absolute_degree * self.k
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, FqExtField) and self._hash_key == other._hash_key
-
-    def __hash__(self):
-        return hash(self._hash_key)
-
-    def __repr__(self):
-        return f"{self.base!r}[{self.k}]"
-
-    def _scan_modulus(self):
-        base, k = self.base, self.k
-        for i in range(base.q ** k):
-            coeffs = []
-            v = i
-            for _ in range(k):
-                v, r = divmod(v, base.q)
-                coeffs.append(base.element_at(r))
-            f = coeffs + [base.one]
-            if upoly.is_irreducible(base, f):
-                return f
-        raise ValueError("no irreducible modulus found (unreachable)")
-
-    # -- element construction and enumeration
-
-    def element(self, value):
-        if isinstance(value, FqElement):
-            if value.field == self:
-                return value
-            if value.field == self.base:
-                return self.embed(value)
-            raise ValueError("element of an unrelated field")
-        if isinstance(value, int):
-            return self.embed(self.base.element(value))
-        coeffs = [self.base.element(c) for c in value]
-        if len(coeffs) > self.k:
-            coeffs = upoly.rem(self.base, coeffs, self.modulus)
-        coeffs += [self.base.zero] * (self.k - len(coeffs))
-        return FqElement(self, tuple(coeffs))
-
-    def embed(self, a):
-        """Coerce, embedding base-field elements; elements of self pass through."""
-        if isinstance(a, FqElement) and a.field == self:
-            return a
-        a = self.base.element(a)
-        return FqElement(self, (a,) + (self.base.zero,) * (self.k - 1))
-
-    def element_at(self, i):
-        if not 0 <= i < self.q:
-            raise IndexError(f"index {i} out of range for field of size {self.q}")
-        coeffs = []
-        for _ in range(self.k):
-            i, r = divmod(i, self.base.q)
-            coeffs.append(self.base.element_at(r))
-        return FqElement(self, tuple(coeffs))
-
-    def index_of(self, a):
-        i = 0
-        for c in reversed(a.coeffs):
-            i = i * self.base.q + self.base.index_of(c)
-        return i
-
-    def elements(self):
-        for i in range(self.q):
-            yield self.element_at(i)
-
-    def random_element(self, rng):
-        return self.element_at(rng.randrange(self.q))
-
-    def random_nonzero(self, rng):
-        return self.element_at(rng.randrange(1, self.q))
-
-    # -- coefficient-vector arithmetic (vectors of base elements)
-
-    def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple(-x for x in a)
-
-    def _mul(self, a, b):
-        prod = upoly.mul(self.base, list(a), list(b))
-        out = upoly.rem(self.base, prod, self.modulus)
-        return tuple(out) + (self.base.zero,) * (self.k - len(out))
-
-    def _inv(self, a):
-        g, u, _ = upoly.xgcd(self.base, list(a), self.modulus)
-        if upoly.degree(g) != 0:
-            raise ZeroDivisionError("inverse of zero")
-        return tuple(u) + (self.base.zero,) * (self.k - len(u))
-
-    # -- Frobenius, norm, trace down to the base
-
-    def frobenius(self, x):
-        """The relative Frobenius x -> x^q, a base-field automorphism."""
-        return self.element(x) ** self.base.q
-
-    def relative_norm(self, x):
-        acc = self.element(x)
-        result = acc
-        for _ in range(self.k - 1):
-            acc = self.frobenius(acc)
-            result = result * acc
-        return self.project(result)
-
-    def relative_trace(self, x):
-        acc = self.element(x)
-        result = acc
-        for _ in range(self.k - 1):
-            acc = self.frobenius(acc)
-            result = result + acc
-        return self.project(result)
-
-    def project(self, x):
-        """Cast an element that lies in the base field back down; error if not."""
-        x = self.element(x)
-        if any(bool(c) for c in x.coeffs[1:]):
-            raise ValueError("element does not lie in the base field")
-        return x.coeffs[0]
-
-    def chi2(self, a):
-        return _chi2(self, self.element(a))
-
-    def sqrt(self, a):
-        return _sqrt(self, self.element(a))
-
-    def extension(self, k, modulus=None):
-        return FqExtField(self, k, modulus)
-
-
-def frobenius(x, field):
-    """x^q in the extension field; applying it k times is the identity."""
-    return field.frobenius(x)
+    t goes to the first root of small's modulus in big's enumeration
+    order.  The modulus lies over F_p and has its roots in the subfield
+    F_{p^n} of big, where ``upoly.roots`` splits it.
+    """
+    tau = upoly.roots(big, [big.element(c) for c in small.modulus])[0].coeffs
+    images = [big.one.coeffs]
+    for _ in range(1, small.n):
+        images.append(big._mul(images[-1], tau))
+    return images
 
 
 def flat_extension(field, k):
-    """F_{q^k} as a flat FqField when the base is prime, else a tower.
+    """F_{q^k} as the flat field F_{p^(nk)}, into which F_q embeds.
 
-    Flat fields do int-vector arithmetic, which is what keeps the
-    sampling and counting loops affordable; prime-field elements embed
-    into them directly.  The flat field is one object per (p, k), so
-    elements drawn in different calls share their field.  Over a
-    non-prime base the relative tower is the only faithful choice.
+    The flat field is one object per (p, nk), so elements drawn in
+    different calls share their field.
     """
     if k == 1:
         return field
-    if isinstance(field, FqField) and field.n == 1:
-        return _flat_field(field.p, k)
-    return FqExtField(field, k)
+    return _flat_field(field.p, field.n * k)
 
 
 @functools.lru_cache(maxsize=None)
 def _flat_field(p, n):
     """FqField(p, n), built once per (p, n) so its modulus search runs once."""
     return FqField(p, n)
+
+
+# Kept for the benchmark's ``*.tower`` kernels, which build F_{25^2} under
+# this name: it is the flat F_{5^4}.
+FqExtField = flat_extension
+
+
+def residue_field(field, m):
+    """(L, alpha): F_q[x]/(m) as a flat F_{p^(nd)} and a root alpha of m in L.
+
+    m is monic irreducible of degree d over F_q = F_p[t]/(m_q).  L's
+    modulus is the norm M of h(x) = m(x - s) from F_q[x] down to F_p[x]:
+    the product of h and its images under c -> c^p, c^(p^2), ... on the
+    coefficients, which is Res_t(m_q(t), h).  s = c*t for the first c in
+    F_q's enumeration order that makes M squarefree; a squarefree norm is
+    irreducible (Trager, SYMSAC 1976), and x is a root of one of those
+    images of h.  alpha is the conjugate x^(p^j) - s, j < n, that is a
+    root of m itself under the embedding of F_q into L.  Over F_p, L is
+    F_p[x]/(m) and alpha = x.
+    """
+    p, n = field.p, field.n
+    if n == 1:
+        L = FqField(p, len(m) - 1, [c.coeffs[0] for c in m])
+        return L, L.element([0, 1])
+    Fp = _flat_field(p, 1)
+    t = field.element([0, 1])
+    for i in range(field.q):
+        s = field.element_at(i) * t
+        h = []
+        for c in reversed(m):
+            h = upoly.add(field, upoly.mul(field, h, [-s, field.one]), [c])
+        norm = h
+        for _ in range(n - 1):
+            h = [c ** p for c in h]
+            norm = upoly.mul(field, norm, h)
+        M = [Fp.element(c.coeffs[0]) for c in norm]
+        if upoly.is_squarefree(Fp, M):
+            break
+    L = FqField(p, len(M) - 1, [c.coeffs[0] for c in M])
+    shift = L.element(s)
+    x = L.element([0, 1])
+    for _ in range(n):
+        alpha = x - shift
+        if not upoly.eval_in(L, m, alpha):
+            return L, alpha
+        x = x ** p
+    raise ArithmeticError("no conjugate of x - s is a root of m (unreachable)")
 
 
 def _chi2(field, a):
@@ -553,7 +452,7 @@ def _sqrt(field, a):
 
     Over a prime field it runs on ints, in ``upoly._sqrt_mod``.
     """
-    if getattr(field, "n", 0) == 1:
+    if field.n == 1:
         r = _sqrt_mod(a.coeffs[0], field.p)
         return None if r is None else field.element(r)
     if not a:

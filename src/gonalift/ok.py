@@ -11,11 +11,7 @@ than silently leaving the order.
 
 from __future__ import annotations
 
-import random
-
 from .ff import FqField, FqElement
-
-_default_rng = random.Random(0)
 
 
 class OkElement:
@@ -188,16 +184,6 @@ class OkRing:
             coeffs = tuple(c - self.p if c > half else c for c in xbar.coeffs)
         else:
             coeffs = tuple(xbar.coeffs)
-        return OkElement(self, coeffs)
-
-    def randomized_lift(self, xbar, bound=1, rng=None) -> OkElement:
-        """Canonical lift plus p*r per coefficient, r uniform in [-bound, bound]."""
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        if rng is None:
-            rng = _default_rng
-        xbar = self.field.element(xbar)
-        coeffs = tuple(c + self.p * rng.randint(-bound, bound) for c in xbar.coeffs)
         return OkElement(self, coeffs)
 
 

@@ -54,17 +54,6 @@ class ProjPoint:
     def key(self):
         return tuple(self.field.index_of(c) for c in self.coords)
 
-    def conjugate(self):
-        """Coordinate-wise relative Frobenius; identity over a base field."""
-        fr = getattr(self.field, "frobenius", None)
-        if fr is None:
-            return ProjPoint(self.field, list(self.coords))
-        return ProjPoint(self.field, [fr(c) for c in self.coords])
-
-    def is_rational(self):
-        """Fixed by the relative Frobenius (trivially true over a base field)."""
-        return self.conjugate() == self
-
 
 def _chart(f, x, us):
     """Points (x : u : v) of a plane curve for u in ``us``, slice by slice.
@@ -197,7 +186,7 @@ def _solve_two_vars(polys, field, upos, vpos, ext=None):
     if len(polys) >= 2:
         r = resultant(polys[0], polys[1], vpos)
         if r:
-            rc = [L.element(c) for c in slice_rows(r, upos, vpos)[0]]
+            rc = slice_rows(r, upos, vpos)[0]
             candidates = upoly.roots(L, rc) if len(rc) > 1 else []
     rows = [slice_rows(p, upos, vpos) for p in polys]
     for u in candidates:
@@ -289,13 +278,15 @@ def _solve_plane_slice(rows, field, a, L):
     """Common roots in L of the slices f(a, w) of plane equations.
 
     ``rows`` holds each equation's slice rows on one chart; the slices
-    and their gcd stay over the coefficient field, and only the gcd is
-    split in L.  A slice on which every equation vanishes gives nothing.
+    and their gcd stay over the coefficient field, and only the gcd's
+    factors over that field whose roots lie in L are split in L
+    (``upoly.roots``).  A slice on which every equation vanishes gives
+    nothing.
     """
     g = _slice_gcd(rows, field, a)
     if g is None or len(g) < 2:
         return []
-    return upoly.roots(L, [L.element(c) for c in g])
+    return upoly.roots(L, g)
 
 
 def sample_curve_points(polys, limit, rng, tries=None, ext=None):
@@ -315,10 +306,11 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     slicing hyperplanes stay rational, which keeps elimination over the
     base field; a curve section of degree d still throws off plenty of
     points of residue degree up to d across slices.  In P^2 the slice
-    gcd has coefficients in F_q, so over a prime field F_p with ext =
-    F_{p^2} its roots come from factoring over F_p, with the quadratic
-    factors solved in closed form (``upoly.roots``); the re-check
-    evaluates each equation on coefficient vectors (``MPoly.evaluate``).
+    gcd has coefficients in F_q, so its roots in ext come from factoring
+    over F_q first, and over a prime field F_p with ext = F_{p^2} the
+    quadratic factors are solved in closed form (``upoly.roots``); the
+    re-check evaluates each equation on coefficient vectors
+    (``MPoly.evaluate``).
     """
     polys = [p for p in polys if p is not None and p]
     if not polys:
@@ -398,22 +390,6 @@ def line_basis(line, p: ProjPoint):
                 if p.coords[i] * v[j] - p.coords[j] * v[i]:
                     return ProjPoint(field, v)
     raise InputError("line is degenerate at the given point")
-
-
-def line_through(p: ProjPoint, q: ProjPoint, ring):
-    """Linear form vanishing on two distinct points of P^2."""
-    if ring.nvars != 3:
-        raise InputError("line_through expects a plane")
-    a = (p.coords[1] * q.coords[2] - p.coords[2] * q.coords[1],
-         p.coords[2] * q.coords[0] - p.coords[0] * q.coords[2],
-         p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0])
-    if not any(a):
-        raise InputError("points coincide; no unique line")
-    gens = ring.gens()
-    out = ring.zero()
-    for c, x in zip(a, gens):
-        out = out + x * c
-    return out
 
 
 def _contact_profile(f, p, line):

@@ -4,8 +4,9 @@ Polynomials are plain Python lists of field elements, little-endian
 (index i holds the coefficient of x^i).  The zero polynomial is the
 empty list.  Every function takes the field as its first argument; the
 field must provide ``zero``, ``one``, ``element`` and, for the
-root/factor routines, ``q``, ``p``, ``absolute_degree``, ``element_at``
-and ``index_of``.
+root/factor routines, ``q``, ``p``, ``n``, ``element_at`` and
+``index_of``; in the package that is ``ff.FqField``, prime or flat
+F_{p^n}.
 
 Root finding, gcd, modular powers, irreducibility, factoring and the
 determinant ``det`` run on one kernel per field kind: over a prime
@@ -21,12 +22,14 @@ on the kernel's ``gcd``, ``divmod``, ``mul`` and ``sub`` directly.
 Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole
 field by a ``random.Random`` under a fixed seed, local to each call.
-Over a flat F_{p^n} with n >= 2, a polynomial whose coefficients all
-lie in F_p is first factored over F_p on the int kernel.  Over F_{p^2}
-its irreducible quadratic factors then take their roots in closed form,
-from one square root mod p (``_sqrt_mod``, the int Tonelli-Shanks that
-``ff`` also uses for prime fields); otherwise only its irreducible
-factors of degree d >= 2 with d | n are split over F_{p^n}.
+Over a flat F_{p^n} with n >= 2, a polynomial whose coefficients lie in
+a subfield (F_p, or a field F_q passed as the coefficients' own field)
+is first factored over that subfield, on the int kernel for F_p.  Over
+F_{p^2} its F_p-irreducible quadratic factors then take their roots in
+closed form, from one square root mod p (``_sqrt_mod``, the int
+Tonelli-Shanks that ``ff`` also uses for prime fields); otherwise only
+the irreducible factors whose roots lie in F_{p^n} are split, inside
+the smallest subfield that holds their roots.
 Roots come out sorted by the field's enumeration index and factors in a
 fixed order, so the draws and the path change only the time taken,
 never the output.
@@ -274,44 +277,54 @@ def count_roots(field, a):
 
 
 def roots(field, a):
-    """Distinct roots in the field, sorted by the field's enumeration index."""
-    K = _kernel(field)
-    a = K.to(a)
+    """Distinct roots in the field, sorted by the field's enumeration index.
+
+    The coefficients of a lie in the field itself or in a subfield F_q of
+    it; the roots are taken in the field either way.
+    """
+    a = trim(a)
     if not a:
         raise ValueError("every field element is a root of the zero polynomial")
     if len(a) == 1:
         return []
+    K = _kernel(field)
     rng = random.Random(_SPLIT_SEED)
     found = []
-    if getattr(field, "n", 1) > 1 and not any(any(c.coeffs[1:]) for c in a):
-        _roots_of_prime_field_poly(field, a, rng, found)
+    base = a[-1].field
+    if base != field and all(c.field is base or c.field == base for c in a):
+        B = _kernel(base)
+        _roots_of_subfield_poly(field, B, base.n, B.to(a), rng, found)
+    elif field.n > 1 and not any(any(c.coeffs[1:]) for c in a):
+        P = _Ints(field.p)
+        _roots_of_subfield_poly(field, P, 1, P.to(a), rng, found)
     else:
-        _split_linear(K, _linear_part(K, a), rng, found)
+        _split_linear(K, _linear_part(K, K.to(a)), rng, found)
     found.sort(key=K.key)
     return K.back(found)
 
 
-def _roots_of_prime_field_poly(field, a, rng, found):
-    """Append the roots in flat F_{p^n} of a, whose coefficients lie in F_p.
+def _roots_of_subfield_poly(field, B, nb, a, rng, found):
+    """Append the roots in flat F_{p^n} of a, in the kernel B of a subfield F_{p^nb}.
 
-    They are the roots of the F_p-irreducible factors of a whose degree d
-    divides n, so a is factored over F_p on the int kernel; a linear
-    factor gives its root directly.  Over F_{p^2} a quadratic factor
-    gives its two roots in closed form (``_quadratic_roots``); only the
-    other factors with d >= 2 are split over F_{p^n}.
+    They are the roots of the irreducible factors of a over the subfield
+    whose degree d divides n / nb, so a is factored there first (on the
+    int kernel when the subfield is F_p); a linear factor gives its root
+    directly.  Over F_{p^2} an F_p-irreducible quadratic factor gives its
+    two roots in closed form (``_quadratic_roots``); only the other
+    factors with d >= 2 are split, in the subfield F_{p^(nb d)} of
+    F_{p^n} that holds their roots.
     """
-    P = _Ints(field.p)
     E = _Elements(field)
     n = field.n
-    for g, _mult in _squarefree_decomposition(P, P.to(a)):
-        for h in _factor_squarefree(P, g, rng):
+    for g, _mult in _squarefree_decomposition(B, a):
+        for h in _factor_squarefree(B, g, rng):
             d = len(h) - 1
             if d == 1:
-                found.append(field.element(P.root(h)))
-            elif n == 2 and d == 2:
+                found.append(field.element(B.root(h)))
+            elif n == 2 and nb == 1 and d == 2:
                 found.extend(field.element(r) for r in _quadratic_roots(field, h))
-            elif n % d == 0:
-                _split_linear(E, [field.element(c) for c in h], rng, found)
+            elif n % (nb * d) == 0:
+                _split_linear(E, [field.element(c) for c in h], rng, found, nb * d)
 
 
 def _quadratic_roots(field, h):
@@ -335,14 +348,17 @@ def _linear_part(K, a):
     return K.gcd(K.sub(pow_mod(K, K.x, K.q, a), K.x), a)
 
 
-def _split_linear(K, g, rng, out):
+def _split_linear(K, g, rng, out, sub=0):
     """Append the roots of g, a product of distinct monic linear factors.
 
     (x + delta)^((q-1)/2) - 1 vanishes at the roots r with r + delta a
     nonzero square, so its gcd with g splits g when that holds for some
     roots and not for others.  About half of all shifts split a given
     pair of roots, but over F_{p^n} no shift from F_p splits two roots in
-    F_p, so delta is drawn from the whole field.
+    F_p, so delta is drawn from the whole field.  With ``sub`` = s > 0
+    every root lies in the subfield F_{p^s} of F_{p^n}: q is then p^s,
+    and delta is the trace down to F_{p^s} of a random element, which is
+    uniform on F_{p^s}.
     """
     d = len(g) - 1
     if d < 1:
@@ -350,13 +366,20 @@ def _split_linear(K, g, rng, out):
     if d == 1:
         out.append(K.root(g))
         return
-    e = (K.q - 1) // 2
+    q = K.p ** sub if sub else K.q
+    e = (q - 1) // 2
     while True:
-        h = pow_mod(K, [K.random(rng), K.one], e, g)
+        delta = K.random(rng)
+        if sub:
+            z = delta
+            for _ in range(K.field.n // sub - 1):
+                z = z ** q
+                delta = delta + z
+        h = pow_mod(K, [delta, K.one], e, g)
         w = K.gcd(K.sub(h, [K.one]), g)
         if 0 < len(w) - 1 < d:
-            _split_linear(K, w, rng, out)
-            _split_linear(K, K.divmod(g, w)[0], rng, out)
+            _split_linear(K, w, rng, out, sub)
+            _split_linear(K, K.divmod(g, w)[0], rng, out, sub)
             return
 
 
@@ -516,7 +539,7 @@ def _equal_degree_split(K, g, d, rng, out):
 
 def _kernel(field):
     """Int lists mod p for a prime field, lists of field elements otherwise."""
-    if field.is_field and getattr(field, "n", 0) == 1:
+    if field.is_field and field.n == 1:
         return _Ints(field.p, field)
     return _Elements(field)
 
@@ -641,7 +664,7 @@ class _Elements(_Kernel):
 
     def pth_root(self, a):
         # a(x) = b(x^p); c -> c^(p^(n-1)) inverts the absolute Frobenius
-        root_exp = self.p ** (self.field.absolute_degree - 1)
+        root_exp = self.p ** (self.field.n - 1)
         return trim([c ** root_exp for c in a[::self.p]])
 
     def random(self, rng):

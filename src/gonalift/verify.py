@@ -128,23 +128,19 @@ def _candidate_eliminant(polys):
 
 
 def _common_slice(polys, m):
-    """gcd over L = F[x]/(m) of the nonzero slices p(alpha, y), alpha = x mod m.
+    """gcd over L = F[x]/(m) of the nonzero slices p(alpha, y), alpha a root of m in L.
 
     For an irreducible factor m of the eliminant of ``polys``, the roots
     of this gcd are the y-coordinates of the common zeros whose
     x-coordinate is a root of m.  None when every slice vanishes, that
-    is when the whole vertical line is a common zero.
+    is when the whole vertical line is a common zero.  L is the flat
+    field of ``ff.residue_field``.
     """
     field = polys[0].ring.coeff_ring
-    deg = upoly.degree(m)
-    if deg == 1:
+    if upoly.degree(m) == 1:
         L, alpha = field, -m[0]
-    elif isinstance(field, ff.FqField) and field.n == 1:
-        L = ff.FqField(field.p, deg, [c.coeffs[0] for c in m])
-        alpha = L.element([0, 1])
     else:
-        L = ff.FqExtField(field, deg, modulus=m)
-        alpha = L.element([0, 1])
+        L, alpha = ff.residue_field(field, m)
     common = None
     for p in polys:
         s = mpoly.slice_at(mpoly.slice_rows(p, 0, 1), L, alpha)
@@ -154,11 +150,6 @@ def _common_slice(polys, m):
         if upoly.degree(common) == 0:
             break  # no later slice can make the gcd nonconstant again
     return common
-
-
-def _nested_ints(c):
-    """A field element as its coefficient list, one level of nesting per tower step."""
-    return [x if isinstance(x, int) else _nested_ints(x) for x in c.coeffs]
 
 
 def _interior_failures(F: MPoly):
@@ -182,7 +173,7 @@ def _interior_failures(F: MPoly):
         if upoly.degree(m) == 1 and not m[0]:
             continue  # x = 0 lies outside the torus
         common = _common_slice([F] + actives, m)
-        witness = {"face": "interior", "x_min_poly": [_nested_ints(cf) for cf in m]}
+        witness = {"face": "interior", "x_min_poly": [list(cf.coeffs) for cf in m]}
         if common is None:
             witness["reason"] = "the face vanishes on a vertical line"
             fails.append(witness)
@@ -327,8 +318,9 @@ def toric_point_count(fbar: MPoly, k: int = 1, cert: Nondegeneracy = None) -> in
             total += torus_roots_at(L.element_at(i))
     else:
         # f has F_q coefficients, so Frobenius-conjugate slices carry
-        # equally many roots: count one representative per orbit
-        frob_basis = [L.element([0] * j + [1]) ** field.q for j in range(k)]
+        # equally many roots: count one representative per orbit.  x -> x^q
+        # is F_p-linear, so the images of L's F_p basis determine it
+        frob_basis = [L.element([0] * j + [1]) ** field.q for j in range(L.n)]
 
         def frob(x):
             acc = L.zero

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gonalift.ff import (FqField, FqExtField, chi2, flat_extension, frobenius,
-                         is_prime, sqrt)
+from gonalift import upoly
+from gonalift.ff import FqField, chi2, flat_extension, is_prime, residue_field, sqrt
 
 
 def test_is_prime_small():
@@ -126,7 +126,7 @@ def test_sqrt_deterministic():
 
 def test_extension_tower():
     f7 = FqField(7)
-    f49 = f7.extension(2)
+    f49 = flat_extension(f7, 2)
     assert f49.q == 49
     a = f49.element([3, 2])
     b = f49.element([1, 5])
@@ -140,56 +140,41 @@ def test_extension_tower():
 
 def test_frobenius_properties():
     f5 = FqField(5)
-    f25 = f5.extension(2)
+    f25 = flat_extension(f5, 2)
     rng = random.Random(7)
     for _ in range(25):
         x = f25.random_element(rng)
         y = f25.random_element(rng)
-        assert frobenius(x + y, f25) == frobenius(x, f25) + frobenius(y, f25)
-        assert frobenius(x * y, f25) == frobenius(x, f25) * frobenius(y, f25)
-        assert frobenius(frobenius(x, f25), f25) == x
+        assert f25.frobenius(x + y) == f25.frobenius(x) + f25.frobenius(y)
+        assert f25.frobenius(x * y) == f25.frobenius(x) * f25.frobenius(y)
+        assert f25.frobenius(f25.frobenius(x)) == x
     for a in f5.elements():
-        assert frobenius(f25.embed(a), f25) == f25.embed(a)
+        assert f25.frobenius(f25.embed(a)) == f25.embed(a)
 
 
 def test_frobenius_swaps_roots_of_quadratic():
     f7 = FqField(7)
-    f49 = f7.extension(2)
+    f49 = flat_extension(f7, 2)
     # t^2 - 3 is irreducible over F_7 (3 is a non-residue)
     r = f49.sqrt(f49.embed(f7.element(3)))
     assert r is not None and r * r == f49.embed(f7.element(3))
-    assert frobenius(r, f49) == -r
-
-
-def test_norm_and_trace_land_in_base():
-    f3 = FqField(3)
-    f243 = f3.extension(5)
-    rng = random.Random(11)
-    for _ in range(20):
-        x = f243.random_element(rng)
-        n = f243.relative_norm(x)
-        t = f243.relative_trace(x)
-        assert n.field == f3 and t.field == f3
-        assert f243.embed(n) == x ** (1 + 3 + 9 + 27 + 81)
-        expected_trace = f243.zero
-        for i in range(5):
-            expected_trace = expected_trace + x ** (3 ** i)
-        assert f243.embed(t) == expected_trace
+    assert f49.frobenius(r) == -r
 
 
 def test_extension_of_extension():
-    f3 = FqField(3)
-    f9 = f3.extension(2)
-    f81 = f9.extension(2)
-    assert f81.q == 81
+    f9 = FqField(3, 2)
+    f81 = flat_extension(f9, 2)
+    assert f81.q == 81 and f81 == FqField(3, 4)
     x = f81.element_at(17)
     assert x ** 81 == x
-    assert f81.frobenius(f81.frobenius(x)) == x
+    # x -> x^9 fixes exactly the image of F_9
+    images = {f81.embed(b) for b in f9.elements()}
+    assert {y for y in f81.elements() if y ** 9 == y} == images
 
 
 def test_extension_chi2_sqrt():
     f3 = FqField(3)
-    f9 = f3.extension(2)
+    f9 = flat_extension(f3, 2)
     squares = {a * a for a in f9.elements() if a}
     for a in f9.elements():
         expected = 0 if not a else (1 if a in squares else -1)
@@ -211,12 +196,7 @@ def test_element_hash_and_equality():
 
 def test_equal_elements_of_a_field_and_its_extension_hash_alike():
     f7, f49 = FqField(7), FqField(7, 2)
-    f9 = FqField(3, 2)
-    f81 = f9.extension(2)
-    f6561 = f81.extension(2)
-    pairs = [(f7.element(4), f49.element(4)), (f7.zero, f49.zero),
-             (f9.element([1, 2]), f81.embed(f9.element([1, 2]))),
-             (f81.element_at(11), f6561.embed(f81.element_at(11)))]
+    pairs = [(f7.element(4), f49.element(4)), (f7.zero, f49.zero)]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
@@ -226,6 +206,7 @@ def test_equal_elements_of_a_field_and_its_extension_hash_alike():
     assert f7.element(4) == 4 and hash(f7.element(4)) == hash(4)
     # elements outside the subfield stay apart
     assert len({f49.element([4, 1]), f49.element(4), f7.element(4)}) == 2
+    f81 = FqField(3, 4)
     assert len({f81.element_at(11), f81.element_at(12)}) == 2
 
 
@@ -234,8 +215,8 @@ def test_flat_extension_is_built_once_per_prime_and_degree():
     assert flat_extension(f127, 2) is flat_extension(FqField(127), 2)
     assert flat_extension(f127, 2) is not flat_extension(f127, 3)
     assert flat_extension(f127, 1) is f127
-    f9 = FqField(3, 2)
-    assert isinstance(flat_extension(f9, 2), FqExtField)
+    # over a prime-power base too: F_{9^2} is the flat F_{3^4}
+    assert flat_extension(FqField(3, 2), 2) is flat_extension(FqField(3), 4)
 
 
 def test_mixed_fields_embed_the_smaller_element():
@@ -249,13 +230,65 @@ def test_mixed_fields_embed_the_smaller_element():
     assert f49.element(4) == c and c == f49.element(4)
     assert a != c and c != a
     # unrelated fields neither mix nor compare equal
-    f5, f9 = FqField(5), FqField(3).extension(2)
+    f5, f9 = FqField(5), FqField(3, 2)
     for x, y in ((f49.one, f5.one), (f5.one, f49.one), (f9.one, f49.one)):
         assert (x == y) is False and x != y
         with pytest.raises(TypeError):
             x + y
-    # a tower still embeds the elements of its base field
-    f81 = f9.extension(2)
+    # a proper subfield F_q, q > p, embeds only on request
+    f81 = flat_extension(f9, 2)
     b = f9.element_at(5)
-    assert f81.one + b == b + f81.one == f81.one + f81.embed(b)
-    assert f81.embed(b) == b
+    assert (f81.embed(b) == b) is False
+    with pytest.raises(TypeError):
+        f81.one + b
+    assert f81.one + f81.embed(b) == f81.embed(f9.one + b)
+
+
+def _random_irreducible(field, d, rng):
+    while True:
+        m = [field.random_element(rng) for _ in range(d)] + [field.one]
+        if upoly.is_irreducible(field, m):
+            return m
+
+
+def _assert_embeds(small, big, rng, pairs=20):
+    for _ in range(pairs):
+        a, b = small.random_element(rng), small.random_element(rng)
+        assert big.element(a + b) == big.element(a) + big.element(b)
+        assert big.element(a * b) == big.element(a) * big.element(b)
+    assert big.element(small.one) == big.one
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)], ids=["F9", "F25", "F27"])
+def test_residue_field_holds_a_root_of_m(p, n):
+    field = FqField(p, n)
+    rng = random.Random(p ** n)
+    for k in (2, 3):
+        _assert_embeds(field, flat_extension(field, k), rng)
+    for d in range(2, 7):
+        m = _random_irreducible(field, d, rng)
+        L, alpha = residue_field(field, m)
+        assert L.p == p and L.n == n * d
+        assert not upoly.eval_in(L, m, alpha)
+        _assert_embeds(field, L, rng)
+
+
+def test_residue_field_shifts_a_square_norm():
+    # x^3 - x - 1 has its roots in F_27, so its unshifted norm from F_9 is
+    # the square of their minimal polynomial, and the shift c = 1 is taken
+    f9 = FqField(3, 2)
+    m = [f9.element(-1), f9.element(-1), f9.zero, f9.one]
+    conj = [c ** 3 for c in m]
+    assert not upoly.is_squarefree(f9, upoly.mul(f9, m, conj))
+    L, alpha = residue_field(f9, m)
+    assert L.q == 3 ** 6
+    assert not upoly.eval_in(L, m, alpha)
+    _assert_embeds(f9, L, random.Random(5))
+
+
+def test_residue_field_over_a_prime_field_is_the_quotient():
+    f7 = FqField(7)
+    m = [f7.one, f7.zero, f7.one]  # x^2 + 1: -1 is a non-residue mod 7
+    L, alpha = residue_field(f7, m)
+    assert L == FqField(7, 2, [1, 0, 1])
+    assert alpha == L.element([0, 1])

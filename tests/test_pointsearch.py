@@ -13,7 +13,6 @@ from gonalift.pointsearch import (
     PointStream,
     ProjPoint,
     find_point_on_plane_curve,
-    line_through,
     points_on_plane_curve,
     sample_curve_points,
     special_points,
@@ -224,19 +223,6 @@ def test_variety_three_quadrics_p4():
     assert set(pts) == brute_force_points(*qs)
 
 
-def test_conjugate_point():
-    F49 = F7.extension(2)
-    r = next(a for i in range(49) for a in [F49.element_at(i)]
-             if a * a == F49.element(3) and i > 6)
-    p = ProjPoint(F49, [F49.one, r, F49.element(2)])
-    pc = p.conjugate()
-    assert pc != p
-    assert pc.conjugate() == p
-    base_pt = ProjPoint(F49, [F49.one, F49.element(4), F49.element(2)])
-    assert base_pt.conjugate() == base_pt
-    assert base_pt.is_rational() and not p.is_rational()
-
-
 def test_tangent_line_examples():
     f = Y * Z - X * X
     p = ProjPoint(F7, [0, 0, 1])
@@ -264,21 +250,6 @@ def test_tangent_double_contact_on_conic():
         # the tangent meets the conic only at p
         on_both = [q for q in pts if not t.evaluate(list(q.coords))]
         assert on_both == [p]
-
-
-def test_line_through_conjugates_descends():
-    F9 = FqField(3).extension(2)
-    R9 = PolyRing(F9, ("X", "Y", "Z"))
-    i = next(a for k in range(9) for a in [F9.element_at(k)] if a * a == -F9.one)
-    p = ProjPoint(F9, [F9.one, i, F9.element(2)])
-    ell = line_through(p, p.conjugate(), R9)
-    # normalized coefficient vector descends to F_3
-    coeffs = [c for _, c in sorted(ell.terms.items())]
-    lead = next(c for c in coeffs if c)
-    for c in coeffs:
-        F9.project(lead.inverse() * c)  # raises if not in the base field
-    assert not ell.evaluate(list(p.coords))
-    assert not ell.evaluate(list(p.conjugate().coords))
 
 
 def test_special_points_fermat():
