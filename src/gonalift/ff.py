@@ -207,6 +207,22 @@ class FqField:
             raise ValueError("modulus must be monic of degree n")
         if not _v_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible mod p")
+        self._build(p, modulus)
+
+    @classmethod
+    def _of_irreducible(cls, p, modulus):
+        """F_p[t]/(modulus) for a monic modulus already known to be irreducible.
+
+        The constructor's checks, Rabin's test above all, are skipped:
+        callers pass a modulus that a factorization or a norm argument
+        has just proved irreducible.
+        """
+        field = cls.__new__(cls)
+        field._build(p, [c % p for c in modulus])
+        return field
+
+    def _build(self, p, modulus):
+        n = len(modulus) - 1
         self.p = p
         self.n = n
         self.q = p ** n
@@ -393,10 +409,14 @@ def residue_field(field, m):
     images of h.  alpha is the conjugate x^(p^j) - s, j < n, that is a
     root of m itself under the embedding of F_q into L.  Over F_p, L is
     F_p[x]/(m) and alpha = x.
+
+    Neither modulus is tested for irreducibility again: m is irreducible
+    by the precondition (callers take it from ``upoly.factor``), and so
+    is a squarefree norm.
     """
     p, n = field.p, field.n
     if n == 1:
-        L = FqField(p, len(m) - 1, [c.coeffs[0] for c in m])
+        L = FqField._of_irreducible(p, [c.coeffs[0] for c in m])
         return L, L.element([0, 1])
     Fp = _flat_field(p, 1)
     t = field.element([0, 1])
@@ -412,7 +432,7 @@ def residue_field(field, m):
         M = [Fp.element(c.coeffs[0]) for c in norm]
         if upoly.is_squarefree(Fp, M):
             break
-    L = FqField(p, len(M) - 1, [c.coeffs[0] for c in M])
+    L = FqField._of_irreducible(p, [c.coeffs[0] for c in M])
     shift = L.element(s)
     x = L.element([0, 1])
     for _ in range(n):

@@ -507,7 +507,13 @@ def slice_rows(f, u, v):
 
 
 def slice_at(rows, L, u0):
-    """The slice f(u0, v) over the field L of u0, trimmed, from ``slice_rows``."""
+    """The slice f(u0, v) over the field L of u0, trimmed, from ``slice_rows``.
+
+    L may also be a kernel of ``upoly`` (see ``upoly._kernel``), with the
+    rows and u0 in its form; the slice then comes out in that form.
+    """
+    if isinstance(L, upoly._Kernel):
+        return L.trim([L.eval(row, u0) for row in rows])
     return upoly.trim([upoly.eval_in(L, row, u0) for row in rows])
 
 

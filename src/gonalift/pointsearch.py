@@ -151,14 +151,6 @@ def _seeded_walk(f, rng):
     yield from _line(f)
 
 
-def _univariate_at(p, pos, sol, L):
-    """p as univariate in pos, the other variables evaluated into L."""
-    n = p.ring.nvars
-    vals = [sol.get(i, L.zero) for i in range(n)]
-    return upoly.trim([p.coeff_of(pos, k).evaluate(vals, into=L)
-                       for k in range(p.degree_in(pos) + 1)])
-
-
 def _slice_gcd(rows, L, u):
     """gcd over L of the nonzero slices at u, one per equation's rows; None when all vanish."""
     g = None
@@ -253,14 +245,17 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
     partial = _solve_zero_dim(lowered[:5], field, rest, cap, ext=ext)
     if partial is None:
         return None
+    # each equation as a list of its coefficients in the eliminated variable
+    coeffs = [[p.coeff_of(wpos, k) for k in range(p.degree_in(wpos) + 1)]
+              for p in actives if p.degree_in(wpos) > 0]
+    nvars = actives[0].ring.nvars
     out = []
     for sol in partial:
+        vals = [sol.get(i, L.zero) for i in range(nvars)]
         g = None
-        for p in actives:
-            if p.degree_in(wpos) == 0:
-                continue
-            s = _univariate_at(p, wpos, sol, L)
-            if upoly.is_zero(s):
+        for cs in coeffs:
+            s = upoly.trim([c.evaluate(vals, into=L) for c in cs])
+            if not s:
                 continue
             g = s if g is None else upoly.gcd(L, g, s)
         if g is None or upoly.degree(g) < 1:
@@ -274,19 +269,25 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
     return out
 
 
-def _solve_plane_slice(rows, field, a, L):
-    """Common roots in L of the slices f(a, w) of plane equations.
+def _solve_plane_slice(K, rows, u, L):
+    """Common roots in L of the slices at u of plane equations, on the kernel K.
 
-    ``rows`` holds each equation's slice rows on one chart; the slices
-    and their gcd stay over the coefficient field, and only the gcd's
-    factors over that field whose roots lie in L are split in L
-    (``upoly.roots``).  A slice on which every equation vanishes gives
-    nothing.
+    ``rows`` holds each equation's slice rows on one chart, and u the
+    slicing value, in the form of K, the kernel of the coefficient field
+    (``upoly._kernel``).  The slices and their gcd stay over that field;
+    the gcd's roots in L come from ``upoly._roots``.  A slice on which
+    every equation vanishes gives nothing.
     """
-    g = _slice_gcd(rows, field, a)
+    g = None
+    for r in rows:
+        s = slice_at(r, K, u)
+        if s:
+            g = s if g is None else K.gcd(g, s)
+            if len(g) == 1:
+                return []
     if g is None or len(g) < 2:
         return []
-    return upoly.roots(L, g)
+    return upoly._roots(L, K, g)
 
 
 def sample_curve_points(polys, limit, rng, tries=None, ext=None):
@@ -294,13 +295,17 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
 
     Each draw takes a random chart x_c = 1, a random position i and a
     random value a, and solves the curve on the hyperplane x_i = a of
-    that chart: in P^2 that is one slice of the plane curve, solved from
-    slice rows built once per (chart, position); in P^3-P^5 the residual
-    system is zero-dimensional and solved by elimination.  Every
-    candidate is re-checked against the full system before being kept.
-    A slice drawn again is not solved again, and drawing stops once all
-    n(n-1)q slices have been drawn: on a small field the result is then
-    every point the slices reach.
+    that chart.  In P^2 that is one slice of the plane curve: its rows
+    are built once per (chart, position) and converted to the
+    coefficient field's kernel (``upoly._kernel``; int lists over F_p),
+    where the slices are evaluated and their gcd taken.  Every root of
+    that gcd is a zero of each equation on the line, so a P^2 point is
+    kept as found.  In P^3-P^5 the residual system is zero-dimensional
+    and solved by elimination, which can return spurious candidates,
+    so each one is re-checked against the full system (``MPoly.evaluate``
+    on coefficient vectors).  A slice drawn again is not solved again,
+    and drawing stops once all n(n-1)q slices have been drawn: on a
+    small field the result is then every point the slices reach.
 
     With ``ext`` the points are taken in the extension field.  The
     slicing hyperplanes stay rational, which keeps elimination over the
@@ -308,9 +313,7 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     points of residue degree up to d across slices.  In P^2 the slice
     gcd has coefficients in F_q, so its roots in ext come from factoring
     over F_q first, and over a prime field F_p with ext = F_{p^2} the
-    quadratic factors are solved in closed form (``upoly.roots``); the
-    re-check evaluates each equation on coefficient vectors
-    (``MPoly.evaluate``).
+    quadratic factors are solved in closed form (``upoly._roots``).
     """
     polys = [p for p in polys if p is not None and p]
     if not polys:
@@ -325,6 +328,7 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     seen = set()
     solved = set()  # (chart, position, value): a repeated draw finds nothing new
     rows = {}  # (chart, position) -> slice rows of each equation, in P^2
+    K = upoly._kernel(field)
     budget = tries if tries is not None else max(32 * limit, 64)
     while budget > 0 and len(found) < limit and len(solved) < n * (n - 1) * field.q:
         budget -= 1
@@ -338,10 +342,12 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
         if n == 3:
             w = free[0]
             if (chart, pos) not in rows:
-                rows[chart, pos] = [slice_rows(p.partial_eval({chart: field.one}), pos, w)
-                                    for p in polys]
-            sols = [{w: v} for v in _solve_plane_slice(rows[chart, pos], field,
-                                                      fixed[pos], L)]
+                rows[chart, pos] = [
+                    [K.to(row) for row in slice_rows(p.partial_eval({chart: field.one}),
+                                                     pos, w)]
+                    for p in polys]
+            sols = [{w: v} for v in _solve_plane_slice(K, rows[chart, pos],
+                                                      K.scalar(fixed[pos]), L)]
         else:
             restricted = [p.partial_eval(fixed) for p in polys]
             sols = _solve_zero_dim(restricted, field, free, ext=ext)
@@ -349,8 +355,8 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
             continue
         for sol in sols:
             coords = [L.element(fixed[i]) if i in fixed else sol[i] for i in range(n)]
-            if any(p.evaluate(coords, into=L) for p in polys):
-                continue
+            if n > 3 and any(p.evaluate(coords, into=L) for p in polys):
+                continue  # a spurious elimination candidate
             pt = ProjPoint(L, coords)
             key = pt.key()
             if key not in seen:

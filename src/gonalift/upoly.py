@@ -18,6 +18,14 @@ so each algorithm is written once.  ``det`` is Bareiss's fraction-free
 elimination on a matrix of polynomials in one variable; ``mpoly``
 computes its Sylvester resultants with it, and runs its bivariate gcd
 on the kernel's ``gcd``, ``divmod``, ``mul`` and ``sub`` directly.
+Modular powers over F_p keep the polynomial as one int with a slot per
+coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
+a single big-int product.
+
+Roots have one entry on the kernel, ``_roots``: ``roots`` converts its
+input and calls it, and ``pointsearch`` calls it on plane slices it
+evaluated and reduced to their gcd in kernel form, so over F_p a slice
+stays on ints from its rows to its roots.
 
 Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole
@@ -287,23 +295,36 @@ def roots(field, a):
         raise ValueError("every field element is a root of the zero polynomial")
     if len(a) == 1:
         return []
-    K = _kernel(field)
-    rng = random.Random(_SPLIT_SEED)
-    found = []
     base = a[-1].field
     if base != field and all(c.field is base or c.field == base for c in a):
-        B = _kernel(base)
-        _roots_of_subfield_poly(field, B, base.n, B.to(a), rng, found)
+        K = _kernel(base)
     elif field.n > 1 and not any(any(c.coeffs[1:]) for c in a):
-        P = _Ints(field.p)
-        _roots_of_subfield_poly(field, P, 1, P.to(a), rng, found)
+        K = _Ints(field.p)
     else:
-        _split_linear(K, _linear_part(K, K.to(a)), rng, found)
-    found.sort(key=K.key)
-    return K.back(found)
+        K = _kernel(field)
+    return _roots(field, K, K.to(a))
 
 
-def _roots_of_subfield_poly(field, B, nb, a, rng, found):
+def _roots(field, K, a):
+    """Distinct roots in ``field`` of a nonconstant a, sorted by enumeration index.
+
+    a is in the form of the kernel K of ``field`` itself or of a subfield
+    of it.  Over the field itself the roots are split off gcd(x^q - x, a);
+    over a proper subfield see ``_roots_of_subfield_poly``.  ``roots``
+    and the plane-slice solver of ``pointsearch`` both end here.
+    """
+    rng = random.Random(_SPLIT_SEED)
+    found = []
+    if K.field == field:
+        _split_linear(K, _linear_part(K, a), rng, found)
+        found.sort(key=K.key)
+        return K.back(found)
+    _roots_of_subfield_poly(field, K, a, rng, found)
+    found.sort(key=field.index_of)
+    return found
+
+
+def _roots_of_subfield_poly(field, B, a, rng, found):
     """Append the roots in flat F_{p^n} of a, in the kernel B of a subfield F_{p^nb}.
 
     They are the roots of the irreducible factors of a over the subfield
@@ -315,6 +336,7 @@ def _roots_of_subfield_poly(field, B, nb, a, rng, found):
     F_{p^n} that holds their roots.
     """
     E = _Elements(field)
+    nb = B.n
     n = field.n
     for g, _mult in _squarefree_decomposition(B, a):
         for h in _factor_squarefree(B, g, rng):
@@ -534,7 +556,9 @@ def _equal_degree_split(K, g, d, rng, out):
 # kernels: the polynomial form the routines above compute in
 #
 # Every kernel list is trimmed.  ``to`` converts a list of field elements
-# into kernel form, ``back`` converts kernel-form coefficients back.
+# into kernel form, ``scalar`` one element, and ``back`` converts
+# kernel-form coefficients back; ``eval`` is Horner's rule in kernel form.
+# ``n`` is the degree of the kernel's field over F_p.
 
 
 def _kernel(field):
@@ -551,10 +575,11 @@ class _Kernel:
 class _Ints(_Kernel):
     """Int lists mod p: the prime-field kernel."""
 
-    __slots__ = ("p", "q", "field", "one", "x")
+    __slots__ = ("p", "q", "n", "field", "one", "x")
 
     def __init__(self, p, field=None):
         self.p = self.q = p
+        self.n = 1
         self.field = field
         self.one = 1
         self.x = [0, 1]
@@ -562,12 +587,21 @@ class _Ints(_Kernel):
     def to(self, a):
         return _vtrim([c.coeffs[0] for c in a])
 
+    def scalar(self, c):
+        return c.coeffs[0]
+
     def back(self, a):
         element = self.field.element
         return [element(c) for c in a]
 
     def trim(self, a):
         return _vtrim(a)
+
+    def eval(self, a, u):
+        acc = 0
+        for c in reversed(a):
+            acc = acc * u + c
+        return acc % self.p
 
     def sub(self, a, b):
         return _vtrim(_vsub(a, b, self.p))
@@ -612,23 +646,30 @@ class _Ints(_Kernel):
 class _Elements(_Kernel):
     """Lists of field elements: the kernel for every field that is not prime."""
 
-    __slots__ = ("field", "p", "q", "one", "x")
+    __slots__ = ("field", "p", "q", "n", "one", "x")
 
     def __init__(self, field):
         self.field = field
         self.p = field.p
         self.q = field.q
+        self.n = field.n
         self.one = field.one
         self.x = x_poly(field)
 
     def to(self, a):
         return trim(a)
 
+    def scalar(self, c):
+        return c
+
     def back(self, a):
         return a
 
     def trim(self, a):
         return trim(a)
+
+    def eval(self, a, u):
+        return eval_in(self.field, a, u)
 
     def sub(self, a, b):
         return sub(self.field, a, b)
@@ -732,37 +773,71 @@ def _vrem(a, b, p):
 
 
 def _vpowmod(a, e, m, p):
+    """a^e mod m over F_p, by left-to-right binary powering on packed ints.
+
+    A polynomial of degree below d = deg m is kept as one int, its
+    coefficients in w-bit slots (Kronecker substitution; von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, section 8.4), so each step is
+    one big-int product.  The product's slots k = d .. 2d - 2 are reduced
+    mod p and folded back with the packed x^k mod m, built once per call;
+    a slot then holds at most (2d - 1)(p - 1)^2 < 2^w before the mod-p
+    pass over the d low slots.  Left to right, every multiplying step is
+    by the same base.
+    """
     m = _vtrim(m)
     inv = pow(m[-1], p - 2, p)
     m = [c * inv % p for c in m]  # a monic modulus leaves the same remainders
-    result = [1]
+    if e == 0:
+        return [1]
     base = _vrem(a, m, p)
-    while e > 0:
-        if e & 1:
-            result = _vmulmod(result, base, m, p)
-        e >>= 1
-        if e:
-            base = _vmulmod(base, base, m, p)
-    return result
-
-
-def _vmulmod(a, b, m, p):
-    """a*b mod a monic m, reducing mod p once per coefficient."""
-    if not a or not b:
+    if not base:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    dm = len(m) - 1
-    for i in range(len(out) - 1, dm - 1, -1):
-        c = out[i] % p
-        if c:
-            k = i - dm
-            for j in range(dm):
-                out[k + j] -= c * m[j]
-    return _vtrim([c % p for c in out[:dm]])
+    d = len(m) - 1
+    if d < 2:  # base is a nonzero constant
+        return [pow(base[0], e, p)]
+    w = ((2 * d - 1) * (p - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    low_bits = d * w
+    low_mask = (1 << low_bits) - 1
+    shifts = range((d - 1) * w, -1, -w)
+    # x^k mod m for k = d .. 2d - 2, by shift-and-subtract
+    r = [-c % p for c in m[:d]]
+    table = [_vpack(r, w)]
+    for _ in range(d - 2):
+        top = r[-1]
+        r = [-top * m[0] % p] + [(r[i - 1] - top * m[i]) % p for i in range(1, d)]
+        table.append(_vpack(r, w))
+
+    def reduce(t):
+        low = t & low_mask
+        t >>= low_bits
+        for image in table:
+            if not t:
+                break
+            c = (t & mask) % p
+            if c:
+                low += c * image
+            t >>= w
+        out = 0
+        for s in shifts:
+            out = (out << w) | (low >> s & mask) % p
+        return out
+
+    b = _vpack(base, w)
+    acc = b
+    for bit in bin(e)[3:]:
+        acc = reduce(acc * acc)
+        if bit == "1":
+            acc = reduce(acc * b)
+    return _vtrim([acc >> s & mask for s in reversed(shifts)])
+
+
+def _vpack(a, w):
+    """The int holding a's coefficients in w-bit slots, little-endian."""
+    out = 0
+    for c in reversed(a):
+        out = (out << w) | c
+    return out
 
 
 def _vgcd(a, b, p):

@@ -269,6 +269,7 @@ def test_residue_field_holds_a_root_of_m(p, n):
         m = _random_irreducible(field, d, rng)
         L, alpha = residue_field(field, m)
         assert L.p == p and L.n == n * d
+        assert upoly._v_irreducible(list(L.modulus), p)  # Trager's norm, not re-tested
         assert not upoly.eval_in(L, m, alpha)
         _assert_embeds(field, L, rng)
 
@@ -292,3 +293,33 @@ def test_residue_field_over_a_prime_field_is_the_quotient():
     L, alpha = residue_field(f7, m)
     assert L == FqField(7, 2, [1, 0, 1])
     assert alpha == L.element([0, 1])
+
+
+def test_residue_fields_are_not_reproved_irreducible(monkeypatch):
+    # the smoothness proof builds residue fields from factors upoly.factor
+    # has proved irreducible; none of them runs Rabin's test again
+    from fixtures import random_smooth_quartic
+    from gonalift import ff
+    from gonalift.mpoly import PolyRing
+    from gonalift.verify import plane_curve_is_smooth
+
+    F = random_smooth_quartic(PolyRing(FqField(127), ("X", "Y", "Z")), random.Random(3))
+    tests, built = [], []
+    real_test, real_residue = ff._v_irreducible, ff.residue_field
+
+    def counted_test(f, p):
+        tests.append(f)
+        return real_test(f, p)
+
+    def counted_residue(field, m):
+        out = real_residue(field, m)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(ff, "_v_irreducible", counted_test)
+    monkeypatch.setattr(ff, "residue_field", counted_residue)
+    assert plane_curve_is_smooth(F)
+    assert any(L.n >= 2 for L in built)
+    assert tests == []
+    for L in built:  # the moduli taken on trust are irreducible
+        assert upoly._v_irreducible(list(L.modulus), L.p)

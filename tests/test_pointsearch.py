@@ -6,9 +6,9 @@ import pytest
 import fixtures
 from gonalift import pointsearch
 from gonalift.errors import InputError, SingularPoint
-from gonalift.ff import FqField
+from gonalift.ff import FqField, flat_extension
 from gonalift.linalg import det
-from gonalift.mpoly import PolyRing, derivative
+from gonalift.mpoly import MPoly, PolyRing, derivative
 from gonalift.pointsearch import (
     PointStream,
     ProjPoint,
@@ -177,12 +177,16 @@ def test_pointless_quartic_over_f3():
     assert brute_force_points(f) == set()
 
 
-def test_variety_intersection_in_p3():
+def test_variety_intersection_in_p3(monkeypatch):
     R4 = PolyRing(F7, ("X", "Y", "Z", "W"))
     x, y, z, w = R4.gens()
     quadric = x * y - z * w
     cubic = x ** 3 + y ** 3 + z ** 3 + w ** 3
+    calls = counted_evaluate(monkeypatch)
     pts = drained_sample([quadric, cubic], random.Random(0))
+    # outside P^2 every kept candidate was re-checked on both equations
+    assert len([f for f in calls if f is quadric or f is cubic]) >= 2 * len(pts)
+    monkeypatch.undo()
     assert len(pts) >= 5
     for p in pts:
         assert not quadric.evaluate(list(p.coords))
@@ -221,6 +225,53 @@ def test_variety_three_quadrics_p4():
         for q in qs:
             assert not q.evaluate(list(p.coords))
     assert set(pts) == brute_force_points(*qs)
+
+
+def counted_evaluate(monkeypatch):
+    """Record the polynomial of every ``MPoly.evaluate`` call from now on."""
+    calls = []
+    real = MPoly.evaluate
+
+    def counting(self, values, into=None):
+        calls.append(self)
+        return real(self, values, into)
+
+    monkeypatch.setattr(MPoly, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q, k", [((13,), 1), ((127,), 1), ((127,), 2), ((3, 2), 1),
+                                  ((5, 2), 1)],
+                         ids=["F13", "F127", "F127^2", "F9", "F25"])
+def test_plane_samples_lie_on_every_equation(q, k):
+    # a P^2 point is kept without evaluating the equations: every root of
+    # the gcd of the nonzero slices is a zero of each equation on the line
+    field = FqField(*q)
+    L = flat_extension(field, k)
+    rng = random.Random(sum(q) + k)
+    ring = PolyRing(field, ("X", "Y", "Z"))
+    F = fixtures.random_smooth_quartic(ring, rng)
+    x, y, z = ring.gens()
+    line = x * field.random_element(rng) + y * field.random_element(rng) + z
+    # the slices of F * (Y - 2X) at Y/X = 2 vanish identically
+    systems = [[F], [F * (y - x * 2), F * line], [F * (x - z), F * line]]
+    for polys in systems:
+        pts = sample_curve_points(polys, 40, rng, ext=L if k > 1 else None)
+        assert pts
+        assert all(pt.field == L for pt in pts)
+        for pt in pts:
+            for f in polys:
+                assert not f.evaluate(list(pt.coords), into=L)
+
+
+def test_plane_sampling_evaluates_no_equation(monkeypatch):
+    F127 = FqField(127)
+    F = fixtures.random_smooth_quartic(PolyRing(F127, ("X", "Y", "Z")), random.Random(5))
+    calls = counted_evaluate(monkeypatch)
+    pts = sample_curve_points([F], 25, random.Random(1))
+    pts += sample_curve_points([F], 25, random.Random(2), ext=flat_extension(F127, 2))
+    assert len(pts) == 50
+    assert calls == []
 
 
 def test_tangent_line_examples():

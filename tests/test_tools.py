@@ -1,11 +1,13 @@
-"""The polygon derivation tool runs: ``tools/derive_polygons.py`` must exit 0.
+"""The tools run: ``tools/derive_polygons.py`` and ``tools/dump_outputs.py`` exit 0.
 
 A short sweep (3 runs per family, over F_31, F_37 and F_25) must print,
 for every family, a union of Newton polygons that lies inside the frozen
 entry of ``_derived_polygons.DERIVED``: a smaller sweep can only see less.
+Two runs of the output dumper with one seed must print the same JSON lines.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -28,3 +30,19 @@ def test_derive_polygons_unions_lie_inside_the_frozen_table():
     for name, verts in unions.items():
         frozen = polygon.LatticePolygon(DERIVED[name])
         assert frozen.contains(polygon.LatticePolygon(verts)), (name, verts)
+
+
+def test_dump_outputs_is_reproducible_json():
+    cmd = [sys.executable, os.path.join("tools", "dump_outputs.py"),
+           "--field", "13", "--count", "3", "--seed", "7"]
+    runs = [subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+            for _ in range(2)]
+    for out in runs:
+        assert out.returncode == 0, out.stdout + out.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert len(lines) == 3
+    for line in lines:
+        assert set(line) == {"quartic", "classify", "sample_birational", "report"}
+        assert line["report"]["checks"]["sample_birational"] == \
+            line["sample_birational"]["status"]

@@ -365,3 +365,35 @@ def test_sample_birational_over_fp2_skips_the_element_kernel(monkeypatch):
     out = sample_birational(report)
     assert out["status"] == "pass" and out["sampled"] > 25  # F_{q^2} points too
     assert calls == []
+
+
+def _square_and_multiply(a, e, m, p):
+    """a^e mod m on the plain int kernel: the reference for the packed power."""
+    result = upoly._vrem([1], m, p)
+    base = upoly._vrem(a, m, p)
+    while e:
+        if e & 1:
+            result = upoly._vrem(upoly._vmul(result, base, p), m, p)
+        base = upoly._vrem(upoly._vmul(base, base, p), m, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [3, 5, 127, 1009, 65521, 2 ** 31 - 1])
+def test_packed_pow_mod_matches_square_and_multiply(p):
+    # the slots are sized for (2d - 1)(p - 1)^2; a base with every
+    # coefficient p - 1 fills them close to that, and for p = 2^31 - 1 and
+    # d a power of two d(p - 1)^2 lies just below a power of two
+    rng = random.Random(p)
+    for d in range(1, 25):
+        lead = 1 if d % 3 == 0 else 1 + rng.randrange(p - 1)  # also non-monic m
+        m = [rng.randrange(p) for _ in range(d)] + [lead]
+        big = [rng.randrange(p) for _ in range(d + 1 + rng.randrange(d + 2))]
+        big[-1] = 1 + rng.randrange(p - 1)  # of degree d or more
+        exps = [0, 1, 2, p, (p - 1) // 2, rng.randrange(p ** 3)]
+        if p ** d < 2 ** 256:  # longer exponents only cost the reference time
+            exps.append(p ** d)
+        cases = [(a, e) for a in ([], [0, 1], big) for e in exps]
+        cases += [([p - 1] * d, e) for e in (2, p, (p - 1) // 2)]
+        for a, e in cases:
+            assert upoly._vpowmod(a, e, m, p) == _square_and_multiply(a, e, m, p), (d, a, e)
