@@ -56,7 +56,9 @@ class Genus3Input:
     """A smooth plane quartic over an odd-characteristic field, in X, Y, Z.
 
     ``check=False`` skips the smoothness proof for callers that already
-    ran it (fixture generators, the CLI after a prior classify).
+    ran it: the tests, on quartics from ``random_smooth_quartic`` in
+    ``tests/fixtures.py``, which proves each quartic smooth as it draws
+    it, and on a nodal quartic that shows the check is skipped.
     """
 
     __slots__ = ("quartic",)

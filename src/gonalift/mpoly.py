@@ -365,8 +365,11 @@ class MPoly:
 
 
 def from_dict(data, coeff_ring):
-    ring = PolyRing(coeff_ring, data["vars"])
-    return ring.from_terms((t["e"], t["c"]) for t in data["terms"])
+    try:
+        ring = PolyRing(coeff_ring, data["vars"])
+        return ring.from_terms((t["e"], t["c"]) for t in data["terms"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed polynomial data: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +488,8 @@ def dehomogenize(f, var):
 # plane slices
 #
 # Every loop over the slices f(u0, v) of a plane curve goes through these
-# two functions: the rows are built once per polynomial, and each slice
-# is then one Horner evaluation per row, in whatever extension u0 lies.
+# functions: the rows are built once per polynomial and converted once to
+# a ``upoly`` kernel's form, and each slice is one Horner pass per row there.
 
 
 def slice_rows(f, u, v):
@@ -506,15 +509,29 @@ def slice_rows(f, u, v):
     return rows
 
 
-def slice_at(rows, L, u0):
-    """The slice f(u0, v) over the field L of u0, trimmed, from ``slice_rows``.
+def slice_at(rows, K, u0):
+    """The slice f(u0, v), trimmed, from the rows of ``slice_rows`` in K's form.
 
-    L may also be a kernel of ``upoly`` (see ``upoly._kernel``), with the
-    rows and u0 in its form; the slice then comes out in that form.
+    K is a ``upoly`` kernel; each row went through ``K.to`` and u0
+    through ``K.scalar``.  The slice comes out in K's form.
     """
-    if isinstance(L, upoly._Kernel):
-        return L.trim([L.eval(row, u0) for row in rows])
-    return upoly.trim([upoly.eval_in(L, row, u0) for row in rows])
+    return K.trim([K.eval(row, u0) for row in rows])
+
+
+def slice_gcd(K, rows_list, u0):
+    """gcd of the nonzero slices at u0, one per polynomial's rows, as for ``slice_at``.
+
+    None when every slice vanishes.  The fold stops at the first constant
+    gcd, which no later slice can make nonconstant again.
+    """
+    g = None
+    for rows in rows_list:
+        s = slice_at(rows, K, u0)
+        if s:
+            g = s if g is None else K.gcd(g, s)
+            if len(g) == 1:
+                break
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +614,6 @@ def resultant(f, g, var, formal_degs=None):
 # bivariate gcd over a field
 
 
-def _as_y_coeffs(K, f):
-    """Bivariate MPoly -> list (little-endian in var 1) of kernel lists in var 0."""
-    return [K.to(row) for row in slice_rows(f, 0, 1)]
-
-
 def _from_y_coeffs(K, ring, rows):
     terms = {}
     for j, row in enumerate(rows):
@@ -679,7 +691,7 @@ def bivariate_gcd(fs):
     K = upoly._kernel(ring.coeff_ring)
     g = None
     for f in fs:
-        rows = _as_y_coeffs(K, f)
+        rows = [K.to(row) for row in slice_rows(f, 0, 1)]
         if g is None:
             g = rows
             continue

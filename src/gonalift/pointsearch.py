@@ -2,20 +2,23 @@
 
 A plane curve f(X, Y, Z) = 0 is searched slice by slice: the chart
 X = 1 is cut into the lines Y = u, and each slice f(1, u, v) is a
-univariate solved by exact root extraction.  The slices come from the
-kernel ``mpoly.slice_rows``/``mpoly.slice_at``, which builds the
-coefficient rows of f(1, u, v) once and evaluates them per value of u.
-The line X = 0 is one more slice.  ``points_on_plane_curve`` takes the
-line X = 0 first and then the chart with u in the field's element
-order, so "first found" is reproducible; ``PointStream`` takes the
-chart with u in a seeded order and the line last, and solves a slice
-only as points are asked for, so a caller that needs a few points pays
-for a few slices on any field.  Drained, both are exhaustive.
+univariate solved by exact root extraction.  Every slice, here and in
+``sample_curve_points``, is solved by ``_solve_slice``: the rows of
+f(1, u, v) (``mpoly.slice_rows``) are converted once to the kernel of
+``upoly`` for the field (int lists over F_p), the slices are evaluated
+and reduced to their gcd there (``mpoly.slice_gcd``), and the roots
+come from ``upoly._roots``.  The line X = 0 is one more slice.
+``points_on_plane_curve`` takes the line X = 0 first and then the chart
+with u in the field's element order, so "first found" is reproducible;
+``PointStream`` takes the chart with u in a seeded order and the line
+last, and solves a slice only as points are asked for, so a caller that
+needs a few points pays for a few slices on any field.  Drained, both
+are exhaustive.
 
 ``sample_curve_points`` draws random rational points of a curve cut out
 by several equations in P^2 through P^5, one random coordinate
-hyperplane at a time, by the same slices in P^2 and by elimination
-otherwise.
+hyperplane at a time, by the same slices in P^2 and by elimination down
+to such slices otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 
 from . import upoly
 from .errors import InputError, SingularPoint
-from .mpoly import PolyRing, derivative, resultant, slice_at, slice_rows
+from .mpoly import PolyRing, derivative, resultant, slice_gcd, slice_rows
 
 
 class ProjPoint:
@@ -55,6 +58,19 @@ class ProjPoint:
         return tuple(self.field.index_of(c) for c in self.coords)
 
 
+def _solve_slice(K, rows, u, L):
+    """Common roots in L of the slices at u of plane equations; None when all vanish.
+
+    ``rows`` (each equation's rows) and u are in the form of K, the kernel
+    of the coefficient field or of L.  The caller decides what a slice on
+    which every equation vanishes means: every v, or nothing.
+    """
+    g = slice_gcd(K, rows, u)
+    if g is None:
+        return None
+    return upoly._roots(L, K, g) if len(g) > 1 else []
+
+
 def _chart(f, x, us):
     """Points (x : u : v) of a plane curve for u in ``us``, slice by slice.
 
@@ -63,16 +79,11 @@ def _chart(f, x, us):
     through (x : u : 0) and (0 : 0 : 1) is a component of the curve).
     """
     field = f.ring.coeff_ring
-    rows = slice_rows(f.partial_eval({0: x}), 1, 2)
+    K = upoly._kernel(field)
+    rows = [[K.to(row) for row in slice_rows(f.partial_eval({0: x}), 1, 2)]]
     for u in us:
-        s = slice_at(rows, field, u)
-        if not s:
-            vs = field.elements()
-        elif len(s) > 1:
-            vs = upoly.roots(field, s)
-        else:
-            continue
-        for v in vs:
+        vs = _solve_slice(K, rows, K.scalar(u), field)
+        for v in field.elements() if vs is None else vs:
             yield ProjPoint(field, [x, u, v])
 
 
@@ -151,25 +162,16 @@ def _seeded_walk(f, rng):
     yield from _line(f)
 
 
-def _slice_gcd(rows, L, u):
-    """gcd over L of the nonzero slices at u, one per equation's rows; None when all vanish."""
-    g = None
-    for r in rows:
-        s = slice_at(r, L, u)
-        if s:
-            g = s if g is None else upoly.gcd(L, g, s)
-    return g
-
-
 def _solve_two_vars(polys, field, upos, vpos, ext=None):
     """Common zeros (u, v) of nonzero polynomials supported on vars upos, vpos.
 
     The candidates for u are the roots of the resultant of the first two
     equations when it is nonzero, and every element of the coefficient
     field otherwise; each candidate's slices come from the equations'
-    slice rows.  Yields pairs in canonical order.  With ``ext`` the
-    zeros are taken in the extension while the resultant stays over the
-    (cheap) coefficient field.
+    slice rows, solved on the kernel of L, where the candidates lie.
+    Yields pairs in canonical order.  With ``ext`` the zeros are taken in
+    the extension while the resultant stays over the (cheap) coefficient
+    field.
     """
     L = ext if ext is not None else field
     if any(p.total_degree() == 0 for p in polys):
@@ -180,15 +182,12 @@ def _solve_two_vars(polys, field, upos, vpos, ext=None):
         if r:
             rc = slice_rows(r, upos, vpos)[0]
             candidates = upoly.roots(L, rc) if len(rc) > 1 else []
-    rows = [slice_rows(p, upos, vpos) for p in polys]
+    K = upoly._kernel(L)
+    rows = [[K.to(row) for row in slice_rows(p, upos, vpos)] for p in polys]
     for u in candidates:
-        g = _slice_gcd(rows, L, u)
-        if g is None:
-            for v in L.elements():
-                yield u, v
-        elif len(g) > 1:
-            for v in upoly.roots(L, g):
-                yield u, v
+        vs = _solve_slice(K, rows, K.scalar(u), L)
+        for v in L.elements() if vs is None else vs:
+            yield u, v
 
 
 def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
@@ -269,43 +268,22 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
     return out
 
 
-def _solve_plane_slice(K, rows, u, L):
-    """Common roots in L of the slices at u of plane equations, on the kernel K.
-
-    ``rows`` holds each equation's slice rows on one chart, and u the
-    slicing value, in the form of K, the kernel of the coefficient field
-    (``upoly._kernel``).  The slices and their gcd stay over that field;
-    the gcd's roots in L come from ``upoly._roots``.  A slice on which
-    every equation vanishes gives nothing.
-    """
-    g = None
-    for r in rows:
-        s = slice_at(r, K, u)
-        if s:
-            g = s if g is None else K.gcd(g, s)
-            if len(g) == 1:
-                return []
-    if g is None or len(g) < 2:
-        return []
-    return upoly._roots(L, K, g)
-
-
 def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     """Seeded random rational points of a projective curve in 3-6 variables.
 
     Each draw takes a random chart x_c = 1, a random position i and a
     random value a, and solves the curve on the hyperplane x_i = a of
-    that chart.  In P^2 that is one slice of the plane curve: its rows
-    are built once per (chart, position) and converted to the
-    coefficient field's kernel (``upoly._kernel``; int lists over F_p),
-    where the slices are evaluated and their gcd taken.  Every root of
-    that gcd is a zero of each equation on the line, so a P^2 point is
-    kept as found.  In P^3-P^5 the residual system is zero-dimensional
-    and solved by elimination, which can return spurious candidates,
-    so each one is re-checked against the full system (``MPoly.evaluate``
-    on coefficient vectors).  A slice drawn again is not solved again,
-    and drawing stops once all n(n-1)q slices have been drawn: on a
-    small field the result is then every point the slices reach.
+    that chart.  In P^2 that is one slice of the plane curve, solved by
+    ``_solve_slice`` on rows built and converted to the coefficient
+    field's kernel once per (chart, position).  Every root of the slices'
+    gcd is a zero of each equation on the line, so a P^2 point is kept as
+    found; a slice on which every equation vanishes gives nothing.  In
+    P^3-P^5 the residual system is zero-dimensional and solved by
+    elimination, which can return spurious candidates, so each one is
+    re-checked against the full system (``MPoly.evaluate`` on coefficient
+    vectors).  A slice drawn again is not solved again, and drawing stops
+    once all n(n-1)q slices have been drawn: on a small field the result
+    is then every point the slices reach.
 
     With ``ext`` the points are taken in the extension field.  The
     slicing hyperplanes stay rational, which keeps elimination over the
@@ -346,8 +324,8 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
                     [K.to(row) for row in slice_rows(p.partial_eval({chart: field.one}),
                                                      pos, w)]
                     for p in polys]
-            sols = [{w: v} for v in _solve_plane_slice(K, rows[chart, pos],
-                                                      K.scalar(fixed[pos]), L)]
+            vs = _solve_slice(K, rows[chart, pos], K.scalar(fixed[pos]), L)
+            sols = [{w: v} for v in vs or []]
         else:
             restricted = [p.partial_eval(fixed) for p in polys]
             sols = _solve_zero_dim(restricted, field, free, ext=ext)

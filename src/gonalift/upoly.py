@@ -22,17 +22,19 @@ Modular powers over F_p keep the polynomial as one int with a slot per
 coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
 a single big-int product.
 
-Roots have one entry on the kernel, ``_roots``: ``roots`` converts its
-input and calls it, and ``pointsearch`` calls it on plane slices it
-evaluated and reduced to their gcd in kernel form, so over F_p a slice
-stays on ints from its rows to its roots.
+Roots have one entry on the kernel, ``_roots``, and root counts one,
+``_count_roots``: ``roots`` and ``count_roots`` convert their input and
+call them, and ``pointsearch`` and ``verify`` call them on plane slices
+in kernel form (``mpoly.slice_gcd``), so over F_p a slice stays on ints
+from its rows to its roots.
 
 Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole
 field by a ``random.Random`` under a fixed seed, local to each call.
 Over a flat F_{p^n} with n >= 2, a polynomial whose coefficients lie in
-a subfield (F_p, or a field F_q passed as the coefficients' own field)
-is first factored over that subfield, on the int kernel for F_p.  Over
+a subfield (F_p, which ``_roots`` detects for every caller, or a field
+F_q passed as the coefficients' own field) is first factored over that
+subfield, on the int kernel for F_p.  Over
 F_{p^2} its F_p-irreducible quadratic factors then take their roots in
 closed form, from one square root mod p (``_sqrt_mod``, the int
 Tonelli-Shanks that ``ff`` also uses for prime fields); otherwise only
@@ -72,11 +74,6 @@ def degree(cs):
 
 def is_zero(cs):
     return degree(cs) < 0
-
-
-def constant(field, c):
-    c = field.element(c)
-    return [c] if c else []
 
 
 def x_poly(field):
@@ -164,22 +161,6 @@ def gcd(field, a, b):
     """Monic gcd."""
     K = _kernel(field)
     return K.back(K.gcd(K.to(a), K.to(b)))
-
-
-def xgcd(field, a, b):
-    """Return (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = trim(a), trim(b)
-    u0, u1 = [field.one], []
-    v0, v1 = [], [field.one]
-    while r1:
-        q, r = divmod_(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(field, u0, mul(field, q, u1))
-        v0, v1 = v1, sub(field, v0, mul(field, q, v1))
-    if not r0:
-        return [], u0, v0
-    c = r0[-1].inverse()
-    return scale(field, r0, c), scale(field, u0, c), scale(field, v0, c)
 
 
 def pow_mod(field, a, e, m):
@@ -278,7 +259,11 @@ def det(field, rows):
 def count_roots(field, a):
     """Number of distinct roots in the field itself."""
     K = _kernel(field)
-    a = K.to(a)
+    return _count_roots(K, K.to(a))
+
+
+def _count_roots(K, a):
+    """Number of distinct roots of a, in the form of K, in K's own field."""
     if len(a) < 2:
         return 0
     return len(_linear_part(K, a)) - 1
@@ -296,12 +281,7 @@ def roots(field, a):
     if len(a) == 1:
         return []
     base = a[-1].field
-    if base != field and all(c.field is base or c.field == base for c in a):
-        K = _kernel(base)
-    elif field.n > 1 and not any(any(c.coeffs[1:]) for c in a):
-        K = _Ints(field.p)
-    else:
-        K = _kernel(field)
+    K = _kernel(base if all(c.field is base or c.field == base for c in a) else field)
     return _roots(field, K, K.to(a))
 
 
@@ -309,10 +289,13 @@ def _roots(field, K, a):
     """Distinct roots in ``field`` of a nonconstant a, sorted by enumeration index.
 
     a is in the form of the kernel K of ``field`` itself or of a subfield
-    of it.  Over the field itself the roots are split off gcd(x^q - x, a);
-    over a proper subfield see ``_roots_of_subfield_poly``.  ``roots``
-    and the plane-slice solver of ``pointsearch`` both end here.
+    of it.  When K's field is not prime but every coefficient of a lies in
+    F_p, a is taken to the int kernel first.  Over the field itself the
+    roots are split off gcd(x^q - x, a); over a proper subfield see
+    ``_roots_of_subfield_poly``.
     """
+    if K.n > 1 and not any(any(c.coeffs[1:]) for c in a):
+        K, a = _Ints(field.p), [c.coeffs[0] for c in a]
     rng = random.Random(_SPLIT_SEED)
     found = []
     if K.field == field:

@@ -134,22 +134,17 @@ def _common_slice(polys, m):
     of this gcd are the y-coordinates of the common zeros whose
     x-coordinate is a root of m.  None when every slice vanishes, that
     is when the whole vertical line is a common zero.  L is the flat
-    field of ``ff.residue_field``.
+    field of ``ff.residue_field``, and the gcd is in the form of L's
+    ``upoly`` kernel (``mpoly.slice_gcd``).
     """
     field = polys[0].ring.coeff_ring
     if upoly.degree(m) == 1:
         L, alpha = field, -m[0]
     else:
         L, alpha = ff.residue_field(field, m)
-    common = None
-    for p in polys:
-        s = mpoly.slice_at(mpoly.slice_rows(p, 0, 1), L, alpha)
-        if upoly.is_zero(s):
-            continue
-        common = s if common is None else upoly.gcd(L, common, s)
-        if upoly.degree(common) == 0:
-            break  # no later slice can make the gcd nonconstant again
-    return common
+    K = upoly._kernel(L)
+    rows = [[K.to(row) for row in mpoly.slice_rows(p, 0, 1)] for p in polys]
+    return mpoly.slice_gcd(K, rows, K.scalar(alpha))
 
 
 def _interior_failures(F: MPoly):
@@ -178,9 +173,9 @@ def _interior_failures(F: MPoly):
             witness["reason"] = "the face vanishes on a vertical line"
             fails.append(witness)
             continue
-        while common and not common[0]:
+        while not common[0]:
             common = common[1:]  # roots at y = 0 lie outside the torus
-        if upoly.degree(upoly.trim(common)) >= 1:
+        if len(common) > 1:
             witness["reason"] = "common torus root of the face and its torus derivatives"
             fails.append(witness)
     return fails
@@ -237,7 +232,7 @@ def common_affine_zero_exists(polys) -> bool:
     _, pieces = upoly.factor(field, r)
     for m, _mult in pieces:
         common = _common_slice(polys, m)
-        if common is None or upoly.degree(common) >= 1:
+        if common is None or len(common) > 1:
             return True
     return False
 
@@ -267,11 +262,11 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
     system = [F] + [d for d in (mpoly.derivative(F, i) for i in range(3)) if d]
     if not any(g.evaluate([field.one, field.zero, field.zero]) for g in system):
         return False
-    common = []
-    for g in system:
-        rows = mpoly.slice_rows(g.partial_eval({2: field.zero}), 1, 0)
-        common = upoly.gcd(field, common, mpoly.slice_at(rows, field, field.one))
-    if upoly.degree(common) >= 1:
+    K = upoly._kernel(field)
+    rows = [[K.to(row) for row in mpoly.slice_rows(g.partial_eval({2: field.zero}), 1, 0)]
+            for g in system]
+    common = mpoly.slice_gcd(K, rows, K.scalar(field.one))
+    if common is None or len(common) > 1:
         return False
     return not common_affine_zero_exists([mpoly.dehomogenize(g, 2) for g in system])
 
@@ -302,15 +297,16 @@ def toric_point_count(fbar: MPoly, k: int = 1, cert: Nondegeneracy = None) -> in
     P = polygon.newton_polygon(F)
     if P.double_area() == 0:
         raise InputError("point counting needs a two-dimensional Newton polygon")
-    rows = mpoly.slice_rows(F, 0, 1)
+    K = upoly._kernel(L)
+    rows = [K.to(row) for row in mpoly.slice_rows(F, 0, 1)]
 
     def torus_roots_at(x0):
-        s = mpoly.slice_at(rows, L, x0)
-        if upoly.is_zero(s):
+        s = mpoly.slice_at(rows, K, K.scalar(x0))
+        if not s:
             raise DegenerateModel("the model vanishes on a vertical line")
         while not s[0]:
             s = s[1:]  # discard roots at y = 0
-        return upoly.count_roots(L, s)
+        return upoly._count_roots(K, s)
 
     total = 0
     if k == 1:
@@ -390,8 +386,26 @@ def select_step(indices) -> dict:
     return {"kind": "select", "indices": list(indices)}
 
 
+#: the fields each kind of trail step carries besides its "kind"
+_STEP_FIELDS = {"linear": ("rows",), "substitute": ("images",), "dehomog": ("var",),
+                "project": ("keep", "names"), "gcd": (), "select": ("indices",)}
+
+
+def _step_kind(step):
+    """The kind of a stored trail step, once its fields are known to be there."""
+    try:
+        kind = step["kind"]
+        fields = _STEP_FIELDS[kind]
+    except (KeyError, TypeError):
+        raise InputError(f"not a known kind of trail step: {step!r}") from None
+    for name in fields:
+        if name not in step:
+            raise InputError(f"trail step {kind!r} needs {list(fields)}")
+    return kind
+
+
 def _apply_step(state, step, field):
-    kind = step["kind"]
+    kind = _step_kind(step)
     ring = state[0].ring
     if kind == "linear":
         rows = [[field.element(c) for c in row] for row in step["rows"]]
@@ -416,9 +430,10 @@ def _apply_step(state, step, field):
         return out
     if kind == "gcd":
         return [mpoly.bivariate_gcd(list(state))]
-    if kind == "select":
-        return [state[i] for i in step["indices"]]
-    raise InputError(f"unknown trail step kind {kind!r}")
+    indices = step["indices"]  # select, the one kind left
+    if not all(isinstance(i, int) and 0 <= i < len(state) for i in indices):
+        raise InputError(f"select indices {indices!r} outside the {len(state)} models")
+    return [state[i] for i in indices]
 
 
 def replay_mod_p(gens, trail, field=None) -> MPoly:
@@ -440,14 +455,18 @@ def _forward_step(coords, names, step, L, field, inv):
     if kind in ("gcd", "select"):
         return coords, names
     if kind == "linear":
+        if len(inv) != len(coords):
+            raise InputError("linear step of the wrong size for the point")
         new = tuple(sum((a * x for a, x in zip(row, coords)), L.zero) for row in inv)
         if not any(new):
             return None, names
         return new, names
+    ring = PolyRing(field, names)
     if kind == "substitute":
         if "point_map" not in step:
             return None, names
-        ring = PolyRing(field, names)
+        if not step["images"]:
+            raise InputError("substitute step without images")
         new = []
         for num_d, den_d in step["point_map"]:
             num = mpoly.from_dict(num_d, field)
@@ -463,16 +482,14 @@ def _forward_step(coords, names, step, L, field, inv):
             return None, new_names
         return tuple(new), new_names
     if kind == "dehomog":
-        idx = names.index(step["var"])
+        idx = ring.index_of_name(step["var"])
         if not coords[idx]:
             return None, names
         inv = coords[idx].inverse()
         new = tuple(c * inv for i, c in enumerate(coords) if i != idx)
         return new, tuple(nm for i, nm in enumerate(names) if i != idx)
-    if kind == "project":
-        keep = [names.index(nm) for nm in step["keep"]]
-        return tuple(coords[i] for i in keep), tuple(step["names"])
-    raise InputError(f"unknown trail step kind {kind!r}")
+    keep = [ring.index_of_name(nm) for nm in step["keep"]]  # project, the one kind left
+    return tuple(coords[i] for i in keep), tuple(step["names"])
 
 
 def forward_point(coords, names, trail, L, field=None, inverses=None):
@@ -491,7 +508,7 @@ def forward_point(coords, names, trail, L, field=None, inverses=None):
     coords = tuple(L.element(c) for c in coords)
     for i, step in enumerate(trail):
         inv = None
-        if step["kind"] == "linear":
+        if _step_kind(step) == "linear":
             inv = inverses.get((i, L))
             if inv is None:
                 rows = [[L.element(field.element(c)) for c in row]
@@ -562,23 +579,27 @@ class LiftReport:
 
     @classmethod
     def from_json(cls, data) -> "LiftReport":
-        if data.get("schema") != "v1":
+        """The report of ``to_json``; InputError on any other data."""
+        if not isinstance(data, dict) or data.get("schema") != "v1":
             raise InputError("unknown report schema")
-        order = ok.OkRing(data["order"]["p"], data["order"]["m"])
-        field = order.field
-        return cls(order=order,
-                   f=mpoly.from_dict(data["f"], order),
-                   gamma=data["gamma"],
-                   genus=data["genus"],
-                   target=data["target"]["name"],
-                   target_vertices=data["target"]["vertices"],
-                   baker=data["baker"],
-                   trail=data["trail"],
-                   input_kind=data["kind"],
-                   input_gens=[mpoly.from_dict(d, field) for d in data["input"]],
-                   seed=data.get("seed"),
-                   checks=data.get("checks"),
-                   notes=data.get("notes"))
+        try:
+            order = ok.OkRing(data["order"]["p"], data["order"]["m"])
+            field = order.field
+            return cls(order=order,
+                       f=mpoly.from_dict(data["f"], order),
+                       gamma=data["gamma"],
+                       genus=data["genus"],
+                       target=data["target"]["name"],
+                       target_vertices=data["target"]["vertices"],
+                       baker=data["baker"],
+                       trail=data["trail"],
+                       input_kind=data["kind"],
+                       input_gens=[mpoly.from_dict(d, field) for d in data["input"]],
+                       seed=data.get("seed"),
+                       checks=data.get("checks"),
+                       notes=data.get("notes"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed report: {exc!r}") from None
 
 
 def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:

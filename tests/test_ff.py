@@ -64,6 +64,15 @@ def test_prime_field_arithmetic():
         f7.zero.inverse()
 
 
+@pytest.mark.parametrize("p, n", [(3, 3), (3, 4)])
+def test_every_nonzero_element_times_its_inverse_is_one(p, n):
+    # from degree 3 on, inverses come from the extended Euclid on int lists
+    field = FqField(p, n)
+    for a in field.elements():
+        if a:
+            assert a * a.inverse() == field.one
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 48), st.integers(0, 48), st.integers(0, 48))
 def test_field_axioms_f49(i, j, k):

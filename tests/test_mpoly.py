@@ -9,7 +9,7 @@ from gonalift.errors import AllZero, InputError, SingularMatrix, ZeroInput
 from gonalift.ff import FqField, flat_extension
 from gonalift.mpoly import (
     LinearChange, PolyRing, bivariate_gcd, dehomogenize, derivative, divide_exact,
-    from_dict, resultant, slice_at, slice_rows, substitute,
+    from_dict, resultant, slice_at, slice_gcd, slice_rows, substitute,
 )
 from gonalift.ok import OkRing
 
@@ -474,6 +474,7 @@ def test_slice_rows_and_slice_at_match_partial_evaluation():
     rng = random.Random(17)
     for field in (F7, FqField(5, 2), FqField(3, 4)):
         ext = flat_extension(field, 2)
+        K, KE = upoly._kernel(field), upoly._kernel(ext)
         R3 = PolyRing(field, ("X", "Y", "Z"))
         X, Y, Z = R3.gens()
         for _ in range(6):
@@ -489,10 +490,44 @@ def test_slice_rows_and_slice_at_match_partial_evaluation():
                     rows = slice_rows(g, u, v)
                     assert len(rows) == g.degree_in(v) + 1
                     assert all(row == upoly.trim(row) for row in rows)
+                    # in kernel form, over the field and over its extension
+                    krows = [K.to(row) for row in rows]
+                    erows = [KE.to(row) for row in rows]
                     for u0 in [a] + [field.random_element(rng) for _ in range(3)]:
                         want = by_partial_eval(g, u, v, u0)
-                        assert slice_at(rows, field, u0) == want
+                        assert K.back(slice_at(krows, K, K.scalar(u0))) == want
                         if g is vanishing and u == 1 and u0 == a:
                             assert want == []
                     for u0 in [ext.embed(a)] + [ext.random_element(rng) for _ in range(2)]:
-                        assert slice_at(rows, ext, u0) == by_evaluation(g, u, v, ext, u0)
+                        got = slice_at(erows, KE, KE.scalar(u0))
+                        assert KE.back(got) == by_evaluation(g, u, v, ext, u0)
+
+
+def test_slice_gcd_folds_the_nonzero_slices():
+    rng = random.Random(29)
+    for field in (F7, FqField(5, 2)):
+        K = upoly._kernel(field)
+        R = PolyRing(field, ("u", "v"))
+        u, v = R.gens()
+        for _ in range(8):
+            a, b = field.random_element(rng), field.random_element(rng)
+            polys = [(v - b) * rand_poly(R, rng) + (u - a) * rand_poly(R, rng)
+                     for _ in range(3)]
+            polys.insert(1, (u - a) * rand_poly(R, rng))  # its slice vanishes
+            rows = [[K.to(row) for row in slice_rows(f, 0, 1)] for f in polys]
+            slices = [K.back(slice_at(r, K, K.scalar(a))) for r in rows]
+            nonzero = [s for s in slices if s]
+            if not nonzero:
+                assert slice_gcd(K, rows, K.scalar(a)) is None
+                continue
+            want = nonzero[0]
+            for s in nonzero[1:]:
+                want = upoly.gcd(field, want, s)
+            got = K.back(slice_gcd(K, rows, K.scalar(a)))
+            assert upoly.monic(field, got) == upoly.monic(field, want)
+            assert len(got) > 1 and not upoly.eval_in(field, got, b)  # v = b is common
+        # every slice vanishes, and a constant slice ends the fold
+        line = [[K.to(row) for row in slice_rows(f, 0, 1)] for f in (u - 1, (u - 1) * v)]
+        assert slice_gcd(K, line, K.scalar(field.one)) is None
+        assert slice_gcd(K, line + [[[K.one]]] + line, K.scalar(field.one)) == [K.one]
+        assert slice_gcd(K, [], K.scalar(field.one)) is None

@@ -4,9 +4,10 @@ import time
 import pytest
 
 import fixtures
-from gonalift import pointsearch
+from gonalift import pointsearch, upoly, verify
 from gonalift.errors import InputError, SingularPoint
 from gonalift.ff import FqField, flat_extension
+from gonalift.lift3 import Genus3Input, lift_genus3
 from gonalift.linalg import det
 from gonalift.mpoly import MPoly, PolyRing, derivative
 from gonalift.pointsearch import (
@@ -98,6 +99,31 @@ def test_seeded_draw_reproducible():
     assert len(draws) > 1
 
 
+def test_prime_field_slices_stay_on_the_int_kernel(monkeypatch):
+    # over F_p every plane slice is evaluated, reduced and solved on ints
+    F127 = FqField(127)
+    f = fixtures.random_smooth_quartic(PolyRing(F127, ("X", "Y", "Z")), random.Random(3))
+    red = lift_genus3(Genus3Input(f, check=False), seed=3).reduction()
+    cert = verify.check_nondegenerate(red)
+    assert cert.ok
+    R4 = PolyRing(F127, ("X", "Y", "Z", "W"))
+    x, y, z, w = R4.gens()
+    calls = []
+    eval_in = upoly.eval_in
+
+    def counted(*args):
+        calls.append(args)
+        return eval_in(*args)
+
+    monkeypatch.setattr(upoly, "eval_in", counted)
+    assert len(points_on_plane_curve(f)) > 100
+    assert PointStream(f, random.Random(5)).point(5) is not None
+    assert verify.toric_point_count(red, 1, cert=cert) > 100
+    assert len(sample_curve_points([x * y - z * w, x ** 3 + y ** 3 + z ** 3 + w ** 3],
+                                   10, random.Random(0))) == 10
+    assert calls == []
+
+
 def _drain(stream):
     out = []
     while (p := stream.point(len(out))) is not None:
@@ -141,18 +167,18 @@ def test_sample_curve_points_solves_each_slice_once(monkeypatch):
     want = set(points_on_plane_curve(f))
     assert len(want) < 25
     calls = []
-    real = pointsearch.slice_at
+    real = pointsearch._solve_slice
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pointsearch, "slice_at", counting)
+    monkeypatch.setattr(pointsearch, "_solve_slice", counting)
     t0 = time.perf_counter()
     got = sample_curve_points([f], 25, random.Random(0))
     assert time.perf_counter() - t0 < 3.0
     assert len(got) == len(want) and set(got) == want
-    # one slice of the one equation per draw that is solved
+    # one slice solved per draw that is new
     assert 0 < len(calls) <= 3 * 2 * 9  # charts x positions x values
 
 

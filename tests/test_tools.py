@@ -43,6 +43,7 @@ def test_dump_outputs_is_reproducible_json():
     lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) == 3
     for line in lines:
-        assert set(line) == {"quartic", "classify", "sample_birational", "report"}
+        assert set(line) == {"quartic", "classify", "sample_birational", "report",
+                             "points", "toric"}
         assert line["report"]["checks"]["sample_birational"] == \
             line["sample_birational"]["status"]

@@ -56,17 +56,6 @@ def test_gcd_agrees_with_sympy():
         assert [c.coeffs[0] for c in g] == got
 
 
-def test_xgcd_bezout():
-    rng = random.Random(3)
-    for field in (F7, F9):
-        for _ in range(30):
-            a = rand_poly(field, rng, rng.randrange(1, 7))
-            b = rand_poly(field, rng, rng.randrange(1, 7))
-            g, u, v = upoly.xgcd(field, a, b)
-            lhs = upoly.add(field, upoly.mul(field, u, a), upoly.mul(field, v, b))
-            assert lhs == g
-
-
 def sylvester_det_mod(a, b, p):
     """Independent oracle: explicit Sylvester determinant over the integers."""
     a = list(a)
@@ -348,6 +337,28 @@ def test_quadratic_factors_over_fp2_match_element_path(p):
         assert all(not upoly.eval_in(L, a, r) for r in got)
     for q in quads:
         assert len(upoly.roots(L, q)) == 2
+
+
+def test_roots_on_the_element_kernel_take_fp_coefficients_to_ints(monkeypatch):
+    # every kernel-level caller of _roots gets the F_p shortcut, not only roots
+    p = 43
+    L = FqField(p, 2)
+    rng = random.Random(p)
+    quads = [poly(L, _irreducible_over_fp(p, 2, rng)) for _ in range(2)]
+    while quads[1] == quads[0]:
+        quads[1] = poly(L, _irreducible_over_fp(p, 2, rng))
+    a = upoly.mul(L, quads[0], quads[1])
+    want = upoly.roots(L, a)
+    calls = []
+    pow_mod = upoly._Elements.pow_mod
+
+    def counted(self, a, e, m):
+        calls.append(self.field)
+        return pow_mod(self, a, e, m)
+
+    monkeypatch.setattr(upoly._Elements, "pow_mod", counted)
+    assert upoly._roots(L, upoly._Elements(L), a) == want
+    assert len(want) == 4 and calls == []
 
 
 def test_sample_birational_over_fp2_skips_the_element_kernel(monkeypatch):

@@ -272,6 +272,25 @@ def test_trail_replay_guards():
         replay_mod_p([X, Y], [])  # two polynomials left standing
     with pytest.raises(InputError):
         replay_mod_p([X + Y], [{"kind": "fuse"}])
+    # a stored step that is not a step, or lacks a field its kind needs
+    for step in ({}, [], {"kind": ["gcd"]}, {"kind": "linear"}, {"kind": "dehomog"},
+                 {"kind": "select"}):
+        with pytest.raises(InputError):
+            replay_mod_p([X + Y], [step])
+        with pytest.raises(InputError):
+            forward_point((1, 2), ("x", "y"), [step], F7)
+    # select indices outside the models standing; transport keeps no models
+    for indices in ([3], [-1], ["0"]):
+        with pytest.raises(InputError):
+            replay_mod_p([X + Y], [select_step(indices)])
+    # steps that do not fit the model: unknown variables, a change of the wrong size
+    for step in (dehomog_step("z"), project_step(["z"], ["a"]),
+                 {"kind": "substitute", "images": [], "point_map": []},
+                 {"kind": "linear", "rows": [[1]]}):
+        with pytest.raises(InputError):
+            replay_mod_p([X + Y], [step])
+        with pytest.raises(InputError):
+            forward_point((1, 2), ("x", "y"), [step], F7)
     # kinds no pipeline emits are unknown to replay and transport alike
     for step in ({"kind": "scale", "index": 0, "value": [2]},
                  {"kind": "resultant", "var": "y", "i": 0, "j": 0,
@@ -403,6 +422,17 @@ def test_report_json_roundtrip():
     assert again.input_gens == report.input_gens
     with pytest.raises(InputError):
         LiftReport.from_json({"schema": "v0"})
+    # stored data with a field missing or of the wrong shape
+    for bad in ({"schema": "v1"}, [], dict(data, order={"p": 7}), dict(data, order=[7]),
+                dict(data, f={"vars": ["x", "y"]}), dict(data, input=[{"terms": []}]),
+                dict(data, target={"name": "t", "vertices": [[0]]})):
+        with pytest.raises(InputError):
+            LiftReport.from_json(bad)
+    with pytest.raises(InputError):
+        mpoly.from_dict({"vars": ["x"]}, F7)
+    for terms in ([{"e": [1]}], [{"e": [1], "c": "z"}]):
+        with pytest.raises(InputError):
+            mpoly.from_dict({"vars": ["x"], "terms": terms}, F7)
 
 
 def test_g6_report_end_to_end():

@@ -3,9 +3,12 @@
 Usage: python3 tools/dump_outputs.py --field P[,N] --count K --seed S
 
 For each of K seeded random smooth quartics over F_{P^N} (N = 1 when
-left out) the line holds the quartic, the ``classify_gonality3``
-result, the ``sample_birational`` dict and ``LiftReport.to_json()``
-after ``run_checks``, with the library defaults throughout.  Two trees
+left out) the line holds the quartic, its points in canonical order
+(``points_on_plane_curve``, as ``key()`` tuples), the
+``classify_gonality3`` result, the ``sample_birational`` dict,
+``LiftReport.to_json()`` after ``run_checks``, and ``toric``: the
+``toric_point_count`` of the reduced lift when ``nondegenerate``
+passes, else null.  The library defaults hold throughout.  Two trees
 of the repository give the same output exactly when their pipelines
 agree on these inputs, so a change that should not alter output is
 checked by running this script in both trees and comparing the files
@@ -25,6 +28,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from derive_polygons import random_smooth_quartic
 from gonalift import ff, lift3, verify
 from gonalift.mpoly import PolyRing
+from gonalift.pointsearch import points_on_plane_curve
 
 
 def dump(field, count, seed, out):
@@ -39,9 +43,13 @@ def dump(field, count, seed, out):
         cls = dict(cls, witness=None if witness is None else witness.key())
         report = lift3.lift_genus3(C, seed=lift_seed)
         sampled = verify.sample_birational(report)
-        verify.run_checks(report)
+        checks = verify.run_checks(report)
+        toric = (verify.toric_point_count(report.reduction(), 1)
+                 if checks["nondegenerate"] == "pass" else None)
         line = {"quartic": F.to_dict(), "classify": cls,
-                "sample_birational": sampled, "report": report.to_json()}
+                "points": [p.key() for p in points_on_plane_curve(F)],
+                "sample_birational": sampled, "report": report.to_json(),
+                "toric": toric}
         out.write(json.dumps(line, sort_keys=True) + "\n")
 
 
