@@ -12,6 +12,10 @@ isomorphisms between finite fields", Math. Comp. 1991); the map is built
 once per pair of fields.  ``FqField.element`` and ``embed`` apply it on
 request.  Arithmetic and ``==`` coerce only ints and elements of the
 prime field, so elements that compare equal hash alike.
+
+A square root over F_p is ``upoly._sqrt_mod``'s, on ints; over F_{p^n}
+with n > 1 it is the first root of x^2 - a in the enumeration order,
+from ``upoly.roots``.
 """
 
 from __future__ import annotations
@@ -230,7 +234,6 @@ class FqField:
         self._hash_key = ("fq", p, self.modulus)
         self.zero = FqElement(self, (0,) * n)
         self.one = FqElement(self, (1,) + (0,) * (n - 1))
-        self._nonresidue = None
 
     def __eq__(self, other):
         if self is other:
@@ -357,7 +360,12 @@ class FqField:
         return _chi2(self, self.element(a))
 
     def sqrt(self, a):
-        return _sqrt(self, self.element(a))
+        a = self.element(a)
+        if self.n == 1:
+            r = _sqrt_mod(a.coeffs[0], self.p)
+            return None if r is None else self.element(r)
+        roots = upoly.roots(self, [-a, self.zero, self.one])
+        return roots[0] if roots else None
 
 
 @functools.lru_cache(maxsize=256)
@@ -453,59 +461,6 @@ def _chi2(field, a):
     if r == -field.one:
         return -1
     raise ArithmeticError("chi2 landed outside {0, 1, -1} (field corrupted)")
-
-
-def _nonresidue(field):
-    if field._nonresidue is None:
-        for i in range(1, field.q):
-            c = field.element_at(i)
-            if _chi2(field, c) == -1:
-                field._nonresidue = c
-                break
-        else:
-            raise ArithmeticError("no quadratic non-residue found (field corrupted)")
-    return field._nonresidue
-
-
-def _sqrt(field, a):
-    """Tonelli-Shanks square root in F_q, or None for non-residues.
-
-    Over a prime field it runs on ints, in ``upoly._sqrt_mod``.
-    """
-    if field.n == 1:
-        r = _sqrt_mod(a.coeffs[0], field.p)
-        return None if r is None else field.element(r)
-    if not a:
-        return field.zero
-    if _chi2(field, a) == -1:
-        return None
-    q = field.q
-    if q % 4 == 3:
-        r = a ** ((q + 1) // 4)
-    else:
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            t //= 2
-            s += 1
-        z = _nonresidue(field)
-        m = s
-        c = z ** t
-        r = a ** ((t + 1) // 2)
-        u = a ** t
-        while u != field.one:
-            i = 0
-            probe = u
-            while probe != field.one:
-                probe = probe * probe
-                i += 1
-            b = c ** (1 << (m - i - 1))
-            m = i
-            c = b * b
-            u = u * c
-            r = r * b
-    if r * r != a:
-        raise ArithmeticError("square root verification failed (field corrupted)")
-    return r
 
 
 def chi2(a):

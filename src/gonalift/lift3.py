@@ -249,13 +249,14 @@ def _build_model(F, optimize, pool, attempts, fallback, notes):
 
 
 def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
-                rng=None, attempts=32, fallback=True) -> verify.LiftReport:
+                attempts=32, fallback=True) -> verify.LiftReport:
     """Lift the quartic to the order with genus and gonality preserved.
 
     The report's model reduces mod p to the transformed input exactly
     (the trail replays the transformation), has y-degree equal to the
     classified gonality, and keeps its support inside the route's
-    polygon, whose interior realizes the genus bound.
+    polygon, whose interior realizes the genus bound.  The points P are
+    drawn with ``random.Random(seed)``, so the report's seed reproduces it.
 
     ``attempts`` bounds how many points P are tried before the two-point
     route gives up; with ``fallback=False`` exhaustion raises
@@ -269,10 +270,8 @@ def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
         order = ok.OkRing.for_field(field)
     elif order.field != field:
         raise InputError("the order must reduce onto the curve's field")
-    if rng is None:
-        rng = random.Random(seed)
     notes = []
-    pool = pointsearch.PointStream(F, rng)
+    pool = pointsearch.PointStream(F, random.Random(seed))
     if pool.point(0) is not None:
         gamma = 3
         fbar, change, route = _build_model(F, optimize, pool, attempts,

@@ -29,6 +29,9 @@ from . import upoly
 from .errors import InputError, SingularPoint
 from .mpoly import PolyRing, derivative, resultant, slice_gcd, slice_rows
 
+#: solutions ``_solve_zero_dim`` returns at most, per call
+_ZERO_DIM_CAP = 64
+
 
 class ProjPoint:
     """Projective point, normalized so the first nonzero coordinate is 1."""
@@ -190,7 +193,7 @@ def _solve_two_vars(polys, field, upos, vpos, ext=None):
             yield u, v
 
 
-def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
+def _solve_zero_dim(polys, field, unknowns, ext=None):
     """Common zeros of a system expected to be finite on two or more ``unknowns``.
 
     Eliminates down to two variables through pairwise resultants, then
@@ -212,7 +215,7 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
         out = []
         for u, v in _solve_two_vars(actives, field, unknowns[0], unknowns[1], ext=ext):
             out.append({unknowns[0]: u, unknowns[1]: v})
-            if len(out) >= cap:
+            if len(out) >= _ZERO_DIM_CAP:
                 break
         return out
     # eliminate the variable with the cheapest pivot, preferring linear ones
@@ -241,7 +244,7 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
     if not lowered:
         return None
     lowered.sort(key=lambda p: p.total_degree())
-    partial = _solve_zero_dim(lowered[:5], field, rest, cap, ext=ext)
+    partial = _solve_zero_dim(lowered[:5], field, rest, ext=ext)
     if partial is None:
         return None
     # each equation as a list of its coefficients in the eliminated variable
@@ -263,12 +266,12 @@ def _solve_zero_dim(polys, field, unknowns, cap=64, ext=None):
             full = dict(sol)
             full[wpos] = w
             out.append(full)
-            if len(out) >= cap:
+            if len(out) >= _ZERO_DIM_CAP:
                 return out
     return out
 
 
-def sample_curve_points(polys, limit, rng, tries=None, ext=None):
+def sample_curve_points(polys, limit, rng, ext=None):
     """Seeded random rational points of a projective curve in 3-6 variables.
 
     Each draw takes a random chart x_c = 1, a random position i and a
@@ -282,8 +285,9 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     elimination, which can return spurious candidates, so each one is
     re-checked against the full system (``MPoly.evaluate`` on coefficient
     vectors).  A slice drawn again is not solved again, and drawing stops
-    once all n(n-1)q slices have been drawn: on a small field the result
-    is then every point the slices reach.
+    after max(32 limit, 64) draws or once all n(n-1)q slices have been
+    drawn: on a small field the result is then every point the slices
+    reach.
 
     With ``ext`` the points are taken in the extension field.  The
     slicing hyperplanes stay rational, which keeps elimination over the
@@ -307,7 +311,7 @@ def sample_curve_points(polys, limit, rng, tries=None, ext=None):
     solved = set()  # (chart, position, value): a repeated draw finds nothing new
     rows = {}  # (chart, position) -> slice rows of each equation, in P^2
     K = upoly._kernel(field)
-    budget = tries if tries is not None else max(32 * limit, 64)
+    budget = max(32 * limit, 64)
     while budget > 0 and len(found) < limit and len(solved) < n * (n - 1) * field.q:
         budget -= 1
         chart = rng.randrange(n)

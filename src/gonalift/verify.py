@@ -12,7 +12,7 @@ independently:
   Newton polygon by resultant/gcd elimination, never by enumerating
   field elements, so a pass is a proof;
 * ``sample_birational`` pushes points of the original model through the
-  trail and evaluates the reduced lift on the images;
+  trail, read once for all of them, and evaluates the lift mod p there;
 * ``toric_point_count`` counts points of the smooth toric
   compactification, the desk-scale stand-in for a zeta cross-check.
 
@@ -23,10 +23,12 @@ violated preconditions.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from . import ff, linalg, mpoly, ok, polygon, upoly
-from .errors import DegenerateModel, InputError, WrongGammaDegree, ZeroInput
+from .errors import (DegenerateModel, InputError, SingularMatrix, WrongGammaDegree,
+                     ZeroInput)
 from .mpoly import MPoly, PolyRing
 from .pointsearch import sample_curve_points
 
@@ -90,7 +92,6 @@ def _strip_monomial_content(f: MPoly) -> MPoly:
 
 def _edge_coeffs(f: MPoly, v0, v1):
     """The edge polynomial: coefficients of f along the lattice points of an edge."""
-    field = f.ring.coeff_ring
     dx, dy = v1[0] - v0[0], v1[1] - v0[1]
     steps = math.gcd(abs(dx), abs(dy))
     d = (dx // steps, dy // steps)
@@ -349,8 +350,8 @@ def toric_point_count(fbar: MPoly, k: int = 1, cert: Nondegeneracy = None) -> in
 #
 # A trail is a JSON-able list of steps recording, over F_q, every
 # transformation a pipeline applied between its input and its plane model.
-# Replaying the trail on the input mod p must reproduce the reduction of
-# the lift exactly; the same steps transport sample points forward.
+# Replay on the input mod p must reproduce the reduction of the lift exactly,
+# and transport pushes sample points forward; both walk ``_read_trail``'s output.
 
 
 def linear_step(change: mpoly.LinearChange) -> dict:
@@ -386,137 +387,136 @@ def select_step(indices) -> dict:
     return {"kind": "select", "indices": list(indices)}
 
 
-#: the fields each kind of trail step carries besides its "kind"
-_STEP_FIELDS = {"linear": ("rows",), "substitute": ("images",), "dehomog": ("var",),
-                "project": ("keep", "names"), "gcd": (), "select": ("indices",)}
+class _Steps(list):
+    """A stored trail as ``_read_trail`` parsed it, one tuple per step."""
 
 
-def _step_kind(step):
-    """The kind of a stored trail step, once its fields are known to be there."""
-    try:
-        kind = step["kind"]
-        fields = _STEP_FIELDS[kind]
-    except (KeyError, TypeError):
-        raise InputError(f"not a known kind of trail step: {step!r}") from None
-    for name in fields:
-        if name not in step:
-            raise InputError(f"trail step {kind!r} needs {list(fields)}")
-    return kind
+def _read_trail(trail, ring) -> _Steps:
+    """Check a stored trail and parse it once, against the input's ring.
+
+    The one reader of the stored format; a malformed step raises
+    InputError.  Each step becomes a tuple led by its kind.  ``dehomog``
+    and ``project`` carry indices into the variables standing before
+    them; ``linear`` carries a dict for its inverse's rows per field.
+    """
+    names, field = ring.names, ring.coeff_ring
+    steps = _Steps()
+    for step in trail:
+        try:
+            kind = step["kind"]
+            if kind == "linear":
+                change = mpoly.LinearChange(field, step["rows"])
+                if change.size != len(names):
+                    raise InputError("linear step of the wrong size for the variables")
+                steps.append((kind, change, {}))
+            elif kind == "substitute":
+                images = [mpoly.from_dict(d, field) for d in step["images"]]
+                if len(images) != len(names) or len({g.ring for g in images}) != 1:
+                    raise InputError("substitute step needs one image per variable")
+                point_map = [(mpoly.from_dict(num, field), mpoly.from_dict(den, field))
+                             for num, den in step.get("point_map", ())]
+                if point_map and (len(point_map) != images[0].ring.nvars or any(
+                        g.ring.names != names for pair in point_map for g in pair)):
+                    raise InputError("point map does not fit the variables")
+                steps.append((kind, images, point_map))
+                names = images[0].ring.names
+            elif kind == "dehomog":
+                i = names.index(step["var"])
+                steps.append((kind, i))
+                names = names[:i] + names[i + 1:]
+            elif kind == "project":
+                keep = [names.index(nm) for nm in step["keep"]]
+                new_ring = PolyRing(field, step["names"])
+                if new_ring.nvars != len(keep):
+                    raise InputError("projection keeps a variable per new name")
+                steps.append((kind, keep, new_ring))
+                names = new_ring.names
+            elif kind == "gcd":
+                steps.append((kind,))
+            elif kind == "select":
+                steps.append((kind, [operator.index(i) for i in step["indices"]]))
+            else:
+                raise InputError(f"not a known kind of trail step: {step!r}")
+        except (KeyError, TypeError, ValueError, SingularMatrix) as exc:
+            raise InputError(f"malformed trail step {step!r}: {exc!r}") from None
+    return steps
 
 
-def _apply_step(state, step, field):
-    kind = _step_kind(step)
-    ring = state[0].ring
-    if kind == "linear":
-        rows = [[field.element(c) for c in row] for row in step["rows"]]
-        change = mpoly.LinearChange(field, rows)
-        return [change.apply(f) for f in state]
-    if kind == "substitute":
-        images = [mpoly.from_dict(d, field) for d in step["images"]]
-        return [mpoly.substitute(f, images) for f in state]
-    if kind == "dehomog":
-        var = ring.index_of_name(step["var"])
-        return [mpoly.dehomogenize(f, var) for f in state]
-    if kind == "project":
-        keep = [ring.index_of_name(nm) for nm in step["keep"]]
-        new_ring = PolyRing(field, tuple(step["names"]))
-        out = []
-        for f in state:
-            for i in range(ring.nvars):
-                if i not in keep and f.degree_in(i) > 0:
-                    raise InputError("projected-away variable still occurs")
-            out.append(new_ring.from_terms(
-                (tuple(e[i] for i in keep), c) for e, c in f.terms.items()))
-        return out
-    if kind == "gcd":
-        return [mpoly.bivariate_gcd(list(state))]
-    indices = step["indices"]  # select, the one kind left
-    if not all(isinstance(i, int) and 0 <= i < len(state) for i in indices):
-        raise InputError(f"select indices {indices!r} outside the {len(state)} models")
-    return [state[i] for i in indices]
-
-
-def replay_mod_p(gens, trail, field=None) -> MPoly:
+def replay_mod_p(gens, trail) -> MPoly:
     """Re-run a trail on the mod-p input; the result must equal reduceModP(f)."""
     if not gens:
         raise InputError("nothing to replay")
-    field = field if field is not None else gens[0].ring.coeff_ring
     state = list(gens)
-    for step in trail:
-        state = _apply_step(state, step, field)
+    for kind, *data in _read_trail(trail, gens[0].ring):
+        if kind == "linear":
+            state = [data[0].apply(f) for f in state]
+        elif kind == "substitute":
+            state = [mpoly.substitute(f, data[0]) for f in state]
+        elif kind == "dehomog":
+            state = [mpoly.dehomogenize(f, data[0]) for f in state]
+        elif kind == "project":
+            keep, ring = data
+            if any(f.degree_in(i) > 0 for f in state for i in range(f.ring.nvars)
+                   if i not in keep):
+                raise InputError("projected-away variable still occurs")
+            state = [ring.from_terms((tuple(e[i] for i in keep), c)
+                                     for e, c in f.terms.items()) for f in state]
+        elif kind == "gcd":
+            state = [mpoly.bivariate_gcd(state)]
+        else:  # select, the one kind left
+            if not all(0 <= i < len(state) for i in data[0]):
+                raise InputError(f"select {data[0]!r} outside the {len(state)} models")
+            state = [state[i] for i in data[0]]
     if len(state) != 1:
         raise InputError("trail did not reduce the input to a single model")
     return state[0]
 
 
-def _forward_step(coords, names, step, L, field, inv):
-    """One step of ``forward_point``; ``inv`` is a linear step's inverse over L."""
-    kind = step["kind"]
-    if kind in ("gcd", "select"):
-        return coords, names
-    if kind == "linear":
-        if len(inv) != len(coords):
-            raise InputError("linear step of the wrong size for the point")
-        new = tuple(sum((a * x for a, x in zip(row, coords)), L.zero) for row in inv)
-        if not any(new):
-            return None, names
-        return new, names
-    ring = PolyRing(field, names)
-    if kind == "substitute":
-        if "point_map" not in step:
-            return None, names
-        if not step["images"]:
-            raise InputError("substitute step without images")
-        new = []
-        for num_d, den_d in step["point_map"]:
-            num = mpoly.from_dict(num_d, field)
-            den = mpoly.from_dict(den_d, field)
-            if num.ring.names != ring.names or den.ring.names != ring.names:
-                raise InputError("point map is written in the wrong variables")
-            dval = den.evaluate(list(coords), into=L)
-            if not dval:
-                return None, names
-            new.append(num.evaluate(list(coords), into=L) * dval.inverse())
-        new_names = tuple(step["images"][0]["vars"])
-        if not any(new):
-            return None, new_names
-        return tuple(new), new_names
-    if kind == "dehomog":
-        idx = ring.index_of_name(step["var"])
-        if not coords[idx]:
-            return None, names
-        inv = coords[idx].inverse()
-        new = tuple(c * inv for i, c in enumerate(coords) if i != idx)
-        return new, tuple(nm for i, nm in enumerate(names) if i != idx)
-    keep = [ring.index_of_name(nm) for nm in step["keep"]]  # project, the one kind left
-    return tuple(coords[i] for i in keep), tuple(step["names"])
-
-
-def forward_point(coords, names, trail, L, field=None, inverses=None):
+def forward_point(coords, names, trail, L, field=None):
     """Transport a point of the input model through the trail.
 
-    Returns the image coordinates, or None when some step is undefined
-    at the point (vanishing denominator, projection center, and so on).
-    ``inverses`` is a dict that keeps the inverse of each linear step
-    over L, keyed by (step index, L), so that points pushed through the
-    same trail share one inversion per step and field; pass it only
-    with that one trail.
+    Returns the image coordinates in L, or None when some step is
+    undefined at the point (vanishing denominator, projection center,
+    and so on).  ``trail`` is a stored trail, read against ``names`` and
+    ``field`` (L when None), or ``_read_trail``'s reading of one, which
+    the points pushed through it share: a linear step is inverted once,
+    over its own field, and its inverse embedded once per L.
     """
-    field = field if field is not None else L
-    inverses = {} if inverses is None else inverses
-    names = tuple(names)
+    if not isinstance(trail, _Steps):
+        trail = _read_trail(trail, PolyRing(L if field is None else field, names))
     coords = tuple(L.element(c) for c in coords)
-    for i, step in enumerate(trail):
-        inv = None
-        if _step_kind(step) == "linear":
-            inv = inverses.get((i, L))
-            if inv is None:
-                rows = [[L.element(field.element(c)) for c in row]
-                        for row in step["rows"]]
-                inv = inverses[(i, L)] = linalg.inverse(L, rows)
-        coords, names = _forward_step(coords, names, step, L, field, inv)
-        if coords is None:
-            return None
+    for kind, *data in trail:
+        if kind == "linear":
+            change, inverses = data
+            if L not in inverses:
+                if None not in inverses:  # the inverse over the step's own field
+                    inverses[None] = linalg.inverse(change.coeff_ring, change.rows)
+                inverses[L] = [[L.element(a) for a in row] for row in inverses[None]]
+            coords = tuple(sum((a * x for a, x in zip(row, coords)), L.zero)
+                           for row in inverses[L])
+            if not any(coords):
+                return None
+        elif kind == "substitute":
+            if not data[1]:
+                return None  # no point map
+            new = []
+            for num, den in data[1]:
+                dval = den.evaluate(coords, into=L)
+                if not dval:
+                    return None
+                new.append(num.evaluate(coords, into=L) * dval.inverse())
+            coords = tuple(new)
+            if not any(coords):
+                return None
+        elif kind == "dehomog":
+            i = data[0]
+            if not coords[i]:
+                return None
+            inv = coords[i].inverse()
+            coords = tuple(c * inv for j, c in enumerate(coords) if j != i)
+        elif kind == "project":
+            coords = tuple(coords[i] for i in data[0])
+        # gcd and select leave the point where it is
     return coords
 
 
@@ -630,9 +630,9 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
                 "reason": "NoSamplePoints"}
     defined = 0
     failures = []
-    inverses = {}
+    steps = _read_trail(report.trail, report.input_gens[0].ring)
     for coords, L in pool:
-        img = forward_point(coords, names, report.trail, L, field, inverses)
+        img = forward_point(coords, names, steps, L)
         if img is None:
             continue
         defined += 1
@@ -651,7 +651,7 @@ def run_checks(report: LiftReport, samples: int = 50, rng=None) -> dict:
     red = report.reduction()
     yi = report.f.ring.index_of_name("y")
     checks = {}
-    replay = replay_mod_p(report.input_gens, report.trail, report.field)
+    replay = replay_mod_p(report.input_gens, report.trail)
     checks["reduction_replay"] = "pass" if replay == red else "fail"
     checks["gamma_degree"] = ("pass" if report.f.degree_in(yi) == report.gamma
                               else "fail")

@@ -5,11 +5,15 @@ change of variables that carries its quadrics onto the standard minors
 of a type-(2,2) scroll, the cofactors the cubics pick up under the
 scroll substitution, the resulting plane model, and that model's point
 counts were all computed independently and are pinned here so the
-pipelines can be checked against them exactly.
+pipelines can be checked against them exactly.  ``trail`` and ``report``
+carry the ideal to the plane model as a stored trail and a lift report,
+for the certificates and for ``tools/dump_outputs.py``.
 """
 
 from gonalift.ff import FqField
-from gonalift.mpoly import PolyRing
+from gonalift.mpoly import LinearChange, PolyRing
+from gonalift.ok import OkRing
+from gonalift.verify import LiftReport, gcd_step, linear_step, select_step, substitute_step
 
 Q = 43
 GENUS = 6
@@ -91,3 +95,32 @@ def cubic_cofactors(fld=None):
     ring = PolyRing(fld or field(), ("x", "y"))
     x, _ = ring.gens()
     return [6*(x + 27)*(x + 32), 39*(x + 13)*(x + 20), 2*(x + 13)**2]
+
+
+def trail(fld=None):
+    """The trail from the canonical ideal to the plane model.
+
+    The scroll change, the substitution onto the plane (with the point
+    map x = X5/X4, y = X1/X4 back), the three cubics, and their gcd.
+    """
+    fld = fld or field()
+    plane = PolyRing(fld, ("x", "y"))
+    x, y = plane.gens()
+    X1, X2, X3, X4, X5, X6 = canonical_ring(fld).gens()
+    images = [y, x * y, x * x * y, plane.one(), x, x * x]
+    point_map = [(X5, X4), (X1, X4)]
+    return [linear_step(LinearChange(fld, SCROLL_MATRIX)),
+            substitute_step(images, point_map),
+            select_step([0, 1, 2]),
+            gcd_step()]
+
+
+def report():
+    """A lift report of the plane model over the order for F_43, with ``trail``."""
+    fld = field()
+    order = OkRing.for_field(fld)
+    f = plane_model(fld).map_coefficients(order.naive_lift, PolyRing(order, ("x", "y")))
+    return LiftReport(order=order, f=f, gamma=3, genus=6, target="rectangle 4x3",
+                      target_vertices=[(0, 0), (4, 0), (4, 3), (0, 3)], baker=True,
+                      trail=trail(fld), input_kind="canonical_ideal",
+                      input_gens=generators(canonical_ring(fld)), seed=3)

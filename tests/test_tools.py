@@ -3,7 +3,8 @@
 A short sweep (3 runs per family, over F_31, F_37 and F_25) must print,
 for every family, a union of Newton polygons that lies inside the frozen
 entry of ``_derived_polygons.DERIVED``: a smaller sweep can only see less.
-Two runs of the output dumper with one seed must print the same JSON lines.
+Two runs of the output dumper with one seed must print the same JSON lines,
+the last of them the genus-6 report's replayed model and samples.
 """
 
 import ast
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 
+import g6_fixture as g6
 from gonalift import polygon
 from gonalift._derived_polygons import DERIVED
 
@@ -40,10 +42,15 @@ def test_dump_outputs_is_reproducible_json():
     for out in runs:
         assert out.returncode == 0, out.stdout + out.stderr
     assert runs[0].stdout == runs[1].stdout
-    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    *lines, last = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) == 3
     for line in lines:
         assert set(line) == {"quartic", "classify", "sample_birational", "report",
                              "points", "toric"}
         assert line["report"]["checks"]["sample_birational"] == \
             line["sample_birational"]["status"]
+    # the genus-6 report: its trail replays to the plane model and carries points
+    assert set(last) == {"g6"}
+    assert last["g6"]["replayed"] == g6.plane_model().to_dict()
+    assert last["g6"]["sample_birational"]["status"] == "pass"
+    assert last["g6"]["sample_birational"]["defined"] > 0

@@ -5,7 +5,7 @@ import pytest
 
 import g6_fixture as g6
 from fixtures import random_smooth_quartic
-from gonalift import linalg, mpoly, polygon, upoly
+from gonalift import linalg, mpoly, polygon, upoly, verify
 from gonalift.errors import (DegenerateModel, InputError, WrongGammaDegree,
                              ZeroInput)
 from gonalift.ff import FqField, flat_extension
@@ -13,10 +13,10 @@ from gonalift.lift3 import Genus3Input, lift_genus3
 from gonalift.mpoly import LinearChange, PolyRing, substitute
 from gonalift.ok import OkRing
 from gonalift.verify import (LiftReport, check_nondegenerate, dehomog_step,
-                             forward_point, gcd_step, linear_step, make_monic,
+                             forward_point, linear_step, make_monic,
                              overall_status, project_step,
                              replay_mod_p, run_checks, sample_birational,
-                             select_step, substitute_step, toric_point_count)
+                             select_step, toric_point_count)
 
 F7 = FqField(7)
 R7 = PolyRing(F7, ("x", "y"))
@@ -272,9 +272,16 @@ def test_trail_replay_guards():
         replay_mod_p([X, Y], [])  # two polynomials left standing
     with pytest.raises(InputError):
         replay_mod_p([X + Y], [{"kind": "fuse"}])
-    # a stored step that is not a step, or lacks a field its kind needs
+    # a stored step that is not a step, lacks a field its kind needs, or
+    # holds entries that do not parse: non-integer or singular rows, a
+    # point map entry that is not a pair of polynomials
+    images = [X.to_dict(), Y.to_dict()]
     for step in ({}, [], {"kind": ["gcd"]}, {"kind": "linear"}, {"kind": "dehomog"},
-                 {"kind": "select"}):
+                 {"kind": "select"}, {"kind": "linear", "rows": [["a", "b"], [1, 0]]},
+                 {"kind": "linear", "rows": [[1, 1], [1, 1]]},
+                 {"kind": "substitute", "images": images, "point_map": [["a"]]},
+                 {"kind": "substitute", "images": images,
+                  "point_map": [[X.to_dict(), {"vars": ["x", "y"]}], images]}):
         with pytest.raises(InputError):
             replay_mod_p([X + Y], [step])
         with pytest.raises(InputError):
@@ -303,20 +310,6 @@ def test_trail_replay_guards():
             forward_point((1, 2), ("x", "y"), [step], F7)
 
 
-def _g6_trail():
-    fld = g6.field()
-    plane = PolyRing(fld, ("x", "y"))
-    x, y = plane.gens()
-    ring = g6.canonical_ring(fld)
-    X1, X2, X3, X4, X5, X6 = ring.gens()
-    images = [y, x * y, x * x * y, plane.one(), x, x * x]
-    point_map = [(X5, X4), (X1, X4)]
-    return [linear_step(LinearChange(fld, g6.SCROLL_MATRIX)),
-            substitute_step(images, point_map),
-            select_step([0, 1, 2]),
-            gcd_step()]
-
-
 def test_worked_example_scroll_substitution():
     fld = g6.field()
     ring = g6.canonical_ring(fld)
@@ -334,7 +327,7 @@ def test_worked_example_scroll_substitution():
 def test_worked_example_trail_replays_to_plane_model():
     fld = g6.field()
     gens = g6.generators(g6.canonical_ring(fld))
-    assert replay_mod_p(gens, _g6_trail()) == g6.plane_model(fld)
+    assert replay_mod_p(gens, g6.trail(fld)) == g6.plane_model(fld)
 
 
 # -- lift reports and the check battery
@@ -392,10 +385,14 @@ def test_sample_birational_reports_counts():
         sample_birational(_weierstrass_report(), samples=0)
 
 
-def test_sample_birational_inverts_each_linear_step_once_per_field(monkeypatch):
+def _quartic_report():
     rng = random.Random(12)
     F = random_smooth_quartic(PolyRing(FqField(31), ("X", "Y", "Z")), rng)
-    report = lift_genus3(Genus3Input(F), seed=12)
+    return lift_genus3(Genus3Input(F), seed=12)
+
+
+def test_sample_birational_inverts_each_linear_step_once(monkeypatch):
+    report = _quartic_report()
     linear = sum(step["kind"] == "linear" for step in report.trail)
     assert linear >= 1
     calls = []
@@ -406,9 +403,26 @@ def test_sample_birational_inverts_each_linear_step_once_per_field(monkeypatch):
         return inverse(field, rows)
 
     monkeypatch.setattr(linalg, "inverse", counted)
+    for _ in range(2):
+        out = sample_birational(report)
+        assert out["status"] == "pass" and out["defined"] > 2 * linear
+    # over F_q, where the entries lie, whatever field the points are in
+    assert calls == [report.field] * (2 * linear)
+
+
+def test_sample_birational_reads_the_trail_once(monkeypatch):
+    report = _quartic_report()
+    calls = []
+    read = verify._read_trail
+
+    def counted(trail, ring):
+        calls.append(trail)
+        return read(trail, ring)
+
+    monkeypatch.setattr(verify, "_read_trail", counted)
     out = sample_birational(report)
-    assert out["status"] == "pass" and out["defined"] > 2 * linear
-    assert len(calls) <= 2 * linear  # one inverse over F_q, one over F_{q^2}
+    assert out["defined"] > 2
+    assert calls == [report.trail]
 
 
 def test_report_json_roundtrip():
@@ -436,17 +450,7 @@ def test_report_json_roundtrip():
 
 
 def test_g6_report_end_to_end():
-    fld = g6.field()
-    order = OkRing.for_field(fld)
-    gens = g6.generators(g6.canonical_ring(fld))
-    fbar = g6.plane_model(fld)
-    f = fbar.map_coefficients(order.naive_lift, PolyRing(order, ("x", "y")))
-    report = LiftReport(order=order, f=f, gamma=3, genus=6,
-                        target="rectangle 4x3",
-                        target_vertices=[(0, 0), (4, 0), (4, 3), (0, 3)],
-                        baker=True, trail=_g6_trail(),
-                        input_kind="canonical_ideal", input_gens=gens, seed=3)
-    checks = run_checks(report, samples=6)
+    checks = run_checks(g6.report(), samples=6)
     assert overall_status(checks) == "pass"
     assert checks["baker_attained"] == "pass"
     assert checks["sample_birational"] == "pass"

@@ -8,7 +8,11 @@ left out) the line holds the quartic, its points in canonical order
 ``classify_gonality3`` result, the ``sample_birational`` dict,
 ``LiftReport.to_json()`` after ``run_checks``, and ``toric``: the
 ``toric_point_count`` of the reduced lift when ``nondegenerate``
-passes, else null.  The library defaults hold throughout.  Two trees
+passes, else null.  The library defaults hold throughout.  A last
+line, ``{"g6": ...}``, holds the genus-6 report of ``tests/g6_fixture.py``:
+its trail replayed on the canonical ideal (``replay_mod_p``) and its
+``sample_birational`` dict with 6 samples, which takes points through
+the ``linear``, ``substitute``, ``select`` and ``gcd`` steps.  Two trees
 of the repository give the same output exactly when their pipelines
 agree on these inputs, so a change that should not alter output is
 checked by running this script in both trees and comparing the files
@@ -23,8 +27,11 @@ import pathlib
 import random
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+import g6_fixture
 from derive_polygons import random_smooth_quartic
 from gonalift import ff, lift3, verify
 from gonalift.mpoly import PolyRing
@@ -51,6 +58,11 @@ def dump(field, count, seed, out):
                 "sample_birational": sampled, "report": report.to_json(),
                 "toric": toric}
         out.write(json.dumps(line, sort_keys=True) + "\n")
+    report = g6_fixture.report()
+    replayed = verify.replay_mod_p(report.input_gens, report.trail)
+    line = {"g6": {"replayed": replayed.to_dict(),
+                   "sample_birational": verify.sample_birational(report, samples=6)}}
+    out.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def main(argv=None):
