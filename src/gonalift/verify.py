@@ -26,7 +26,7 @@ import math
 import operator
 import random
 
-from . import ff, linalg, mpoly, ok, polygon, upoly
+from . import ff, mpoly, ok, polygon, upoly
 from .errors import (DegenerateModel, InputError, SingularMatrix, WrongGammaDegree,
                      ZeroInput)
 from .mpoly import MPoly, PolyRing
@@ -387,20 +387,16 @@ def select_step(indices) -> dict:
     return {"kind": "select", "indices": list(indices)}
 
 
-class _Steps(list):
-    """A stored trail as ``_read_trail`` parsed it, one tuple per step."""
-
-
-def _read_trail(trail, ring) -> _Steps:
+def _read_trail(trail, ring) -> list:
     """Check a stored trail and parse it once, against the input's ring.
 
     The one reader of the stored format; a malformed step raises
     InputError.  Each step becomes a tuple led by its kind.  ``dehomog``
     and ``project`` carry indices into the variables standing before
-    them; ``linear`` carries a dict for its inverse's rows per field.
+    them; ``linear`` carries its change and the rows of its inverse.
     """
     names, field = ring.names, ring.coeff_ring
-    steps = _Steps()
+    steps = []
     for step in trail:
         try:
             kind = step["kind"]
@@ -408,7 +404,7 @@ def _read_trail(trail, ring) -> _Steps:
                 change = mpoly.LinearChange(field, step["rows"])
                 if change.size != len(names):
                     raise InputError("linear step of the wrong size for the variables")
-                steps.append((kind, change, {}))
+                steps.append((kind, change, change.inverse().rows))
             elif kind == "substitute":
                 images = [mpoly.from_dict(d, field) for d in step["images"]]
                 if len(images) != len(names) or len({g.ring for g in images}) != 1:
@@ -472,28 +468,23 @@ def replay_mod_p(gens, trail) -> MPoly:
     return state[0]
 
 
-def forward_point(coords, names, trail, L, field=None):
-    """Transport a point of the input model through the trail.
+def forward_point(coords, names, trail, L):
+    """Transport a point of the input model through a stored trail.
 
-    Returns the image coordinates in L, or None when some step is
-    undefined at the point (vanishing denominator, projection center,
-    and so on).  ``trail`` is a stored trail, read against ``names`` and
-    ``field`` (L when None), or ``_read_trail``'s reading of one, which
-    the points pushed through it share: a linear step is inverted once,
-    over its own field, and its inverse embedded once per L.
+    The trail is read against ``names`` over L.  Returns the image
+    coordinates in L, or None when some step is undefined at the point
+    (vanishing denominator, projection center, and so on).
     """
-    if not isinstance(trail, _Steps):
-        trail = _read_trail(trail, PolyRing(L if field is None else field, names))
+    return _transport(_read_trail(trail, PolyRing(L, names)), coords, L)
+
+
+def _transport(steps, coords, L):
+    """``forward_point`` on a read trail whose inverse rows lie in L."""
     coords = tuple(L.element(c) for c in coords)
-    for kind, *data in trail:
+    for kind, *data in steps:
         if kind == "linear":
-            change, inverses = data
-            if L not in inverses:
-                if None not in inverses:  # the inverse over the step's own field
-                    inverses[None] = linalg.inverse(change.coeff_ring, change.rows)
-                inverses[L] = [[L.element(a) for a in row] for row in inverses[None]]
             coords = tuple(sum((a * x for a, x in zip(row, coords)), L.zero)
-                           for row in inverses[L])
+                           for row in data[1])
             if not any(coords):
                 return None
         elif kind == "substitute":
@@ -614,13 +605,12 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     if rng is None:
         rng = random.Random(report.seed if report.seed is not None else 0)
     field = report.field
+    ext = ff.flat_extension(field, 2)
     red = report.reduction()
-    names = report.input_gens[0].ring.names
     pool = []
     try:
         for pt in sample_curve_points(report.input_gens, (samples + 1) // 2, rng):
             pool.append((pt.coords, field))
-        ext = ff.flat_extension(field, 2)
         for pt in sample_curve_points(report.input_gens, samples - len(pool), rng, ext=ext):
             pool.append((pt.coords, ext))
     except InputError:
@@ -631,8 +621,11 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     defined = 0
     failures = []
     steps = _read_trail(report.trail, report.input_gens[0].ring)
+    # the same reading with each linear inverse embedded into F_{q^2} once
+    ext_steps = [(kind, data[0], [[ext.element(a) for a in row] for row in data[1]])
+                 if kind == "linear" else (kind, *data) for kind, *data in steps]
     for coords, L in pool:
-        img = forward_point(coords, names, steps, L)
+        img = _transport(steps if L is field else ext_steps, coords, L)
         if img is None:
             continue
         defined += 1

@@ -16,7 +16,7 @@ from gonalift.verify import (LiftReport, check_nondegenerate, dehomog_step,
                              forward_point, linear_step, make_monic,
                              overall_status, project_step,
                              replay_mod_p, run_checks, sample_birational,
-                             select_step, toric_point_count)
+                             select_step, substitute_step, toric_point_count)
 
 F7 = FqField(7)
 R7 = PolyRing(F7, ("x", "y"))
@@ -297,6 +297,19 @@ def test_trail_replay_guards():
         with pytest.raises(InputError):
             replay_mod_p([X + Y], [step])
         with pytest.raises(InputError):
+            forward_point((1, 2), ("x", "y"), [step], F7)
+    # well-formed entries that do not fit together: a projection with fewer
+    # names than kept variables, images in two rings, a point map with one
+    # entry for two new variables or in variables other than x, y
+    U, V = PolyRing(F7, ("u", "v")).gens()
+    one = R7.one()
+    for step, match in ((project_step(["x", "y"], ["a"]), "projection keeps"),
+                        (substitute_step([X, U]), "one image per variable"),
+                        (substitute_step([X, Y], [(X, one)]), "point map"),
+                        (substitute_step([X, Y], [(U, one), (V, one)]), "point map")):
+        with pytest.raises(InputError, match=match):
+            replay_mod_p([X + Y], [step])
+        with pytest.raises(InputError, match=match):
             forward_point((1, 2), ("x", "y"), [step], F7)
     # kinds no pipeline emits are unknown to replay and transport alike
     for step in ({"kind": "scale", "index": 0, "value": [2]},
