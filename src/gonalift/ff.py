@@ -3,8 +3,8 @@
 ``FqField(p, n, modulus)`` models F_q for q = p^n; elements carry a
 fixed-length vector of ints, little-endian in t, always reduced.  It is
 the one field class: the extension F_{q^k} is the flat field F_{p^(nk)}
-(``flat_extension``), and the residue field F_q[x]/(m) of an irreducible
-m is a flat F_{p^(n deg m)} together with a root of m (``residue_field``).
+(``flat_extension``).  Residue fields F_q[x]/(m) are not built: the
+certificates reduce F_q's polynomials mod m (``mpoly.slice_gcd_mod``).
 
 F_q embeds into every F_{p^N} with n | N by sending t to the first root
 of its modulus in F_{p^N}'s enumeration order (Lenstra, "Finding
@@ -211,22 +211,6 @@ class FqField:
             raise ValueError("modulus must be monic of degree n")
         if not _v_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible mod p")
-        self._build(p, modulus)
-
-    @classmethod
-    def _of_irreducible(cls, p, modulus):
-        """F_p[t]/(modulus) for a monic modulus already known to be irreducible.
-
-        The constructor's checks, Rabin's test above all, are skipped:
-        callers pass a modulus that a factorization or a norm argument
-        has just proved irreducible.
-        """
-        field = cls.__new__(cls)
-        field._build(p, [c % p for c in modulus])
-        return field
-
-    def _build(self, p, modulus):
-        n = len(modulus) - 1
         self.p = p
         self.n = n
         self.q = p ** n
@@ -403,52 +387,6 @@ def _flat_field(p, n):
 # Kept for the benchmark's ``*.tower`` kernels, which build F_{25^2} under
 # this name: it is the flat F_{5^4}.
 FqExtField = flat_extension
-
-
-def residue_field(field, m):
-    """(L, alpha): F_q[x]/(m) as a flat F_{p^(nd)} and a root alpha of m in L.
-
-    m is monic irreducible of degree d over F_q = F_p[t]/(m_q).  L's
-    modulus is the norm M of h(x) = m(x - s) from F_q[x] down to F_p[x]:
-    the product of h and its images under c -> c^p, c^(p^2), ... on the
-    coefficients, which is Res_t(m_q(t), h).  s = c*t for the first c in
-    F_q's enumeration order that makes M squarefree; a squarefree norm is
-    irreducible (Trager, SYMSAC 1976), and x is a root of one of those
-    images of h.  alpha is the conjugate x^(p^j) - s, j < n, that is a
-    root of m itself under the embedding of F_q into L.  Over F_p, L is
-    F_p[x]/(m) and alpha = x.
-
-    Neither modulus is tested for irreducibility again: m is irreducible
-    by the precondition (callers take it from ``upoly.factor``), and so
-    is a squarefree norm.
-    """
-    p, n = field.p, field.n
-    if n == 1:
-        L = FqField._of_irreducible(p, [c.coeffs[0] for c in m])
-        return L, L.element([0, 1])
-    Fp = _flat_field(p, 1)
-    t = field.element([0, 1])
-    for i in range(field.q):
-        s = field.element_at(i) * t
-        h = []
-        for c in reversed(m):
-            h = upoly.add(field, upoly.mul(field, h, [-s, field.one]), [c])
-        norm = h
-        for _ in range(n - 1):
-            h = [c ** p for c in h]
-            norm = upoly.mul(field, norm, h)
-        M = [Fp.element(c.coeffs[0]) for c in norm]
-        if upoly.is_squarefree(Fp, M):
-            break
-    L = FqField._of_irreducible(p, [c.coeffs[0] for c in M])
-    shift = L.element(s)
-    x = L.element([0, 1])
-    for _ in range(n):
-        alpha = x - shift
-        if not upoly.eval_in(L, m, alpha):
-            return L, alpha
-        x = x ** p
-    raise ArithmeticError("no conjugate of x - s is a root of m (unreachable)")
 
 
 def _chi2(field, a):

@@ -490,6 +490,8 @@ def dehomogenize(f, var):
 # Every loop over the slices f(u0, v) of a plane curve goes through these
 # functions: the rows are built once per polynomial and converted once to
 # a ``upoly`` kernel's form, and each slice is one Horner pass per row there.
+# At the roots of an irreducible m over the kernel's field F, a slice is its
+# rows reduced mod m instead, over the field F[u]/(m) (``slice_gcd_mod``).
 
 
 def slice_rows(f, u, v):
@@ -524,11 +526,50 @@ def slice_gcd(K, rows_list, u0):
     None when every slice vanishes.  The fold stops at the first constant
     gcd, which no later slice can make nonconstant again.
     """
+    return _gcd_fold((slice_at(rows, K, u0) for rows in rows_list), K.gcd)
+
+
+def slice_gcd_mod(K, rows_list, m):
+    """``slice_gcd`` at a root of m, over F[u]/(m) in K's form: no field is built.
+
+    m is monic irreducible over K's field F, in K's form like the rows.
+    A slice is its rows reduced mod m, a list of residues (the zero
+    residue is []).  Euclid runs on pseudo-remainders: each elimination
+    step multiplies by the divisor's leading coefficient instead of
+    dividing by it and reduces every coefficient mod m, so nothing grows
+    and no inverse is taken.  The gcd is known up to a unit of F[u]/(m):
+    its length and which of its coefficients vanish are exact.
+    """
+    def reduced(a):
+        a = [K.divmod(c, m)[1] for c in a]
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    def prem(a, b):
+        db, lb = len(b) - 1, b[-1]
+        while len(a) > db:
+            top, k = a[-1], len(a) - 1 - db
+            # lb * a - top * v^k * b; its top coefficient cancels exactly
+            a = reduced([K.mul(c, lb) for c in a[:k]]
+                        + [K.sub(K.mul(a[k + j], lb), K.mul(top, b[j])) for j in range(db)])
+        return a
+
+    def gcd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, prem(a, b)
+        return b or a
+
+    return _gcd_fold(map(reduced, rows_list), gcd)
+
+
+def _gcd_fold(slices, gcd):
     g = None
-    for rows in rows_list:
-        s = slice_at(rows, K, u0)
+    for s in slices:
         if s:
-            g = s if g is None else K.gcd(g, s)
+            g = s if g is None else gcd(g, s)
             if len(g) == 1:
                 break
     return g

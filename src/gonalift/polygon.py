@@ -159,12 +159,11 @@ def newton_polygon(f) -> LatticePolygon:
 class TargetPolygon:
     """A named support bound guaranteed by one lifting construction."""
 
-    __slots__ = ("name", "polygon", "derived")
+    __slots__ = ("name", "polygon")
 
-    def __init__(self, name, vertices, derived=False):
+    def __init__(self, name, vertices):
         self.name = name
         self.polygon = LatticePolygon(vertices)
-        self.derived = derived
 
     def contains_support(self, f):
         return self.polygon.contains(newton_polygon(f))
@@ -187,6 +186,6 @@ def target(name) -> TargetPolygon:
         return TargetPolygon(name, _FIXED_TARGETS[name])
     from . import _derived_polygons
     if name in _derived_polygons.DERIVED:
-        return TargetPolygon(name, _derived_polygons.DERIVED[name], derived=True)
+        return TargetPolygon(name, _derived_polygons.DERIVED[name])
     raise InputError(f"unknown target polygon {name!r}")
 

@@ -17,16 +17,20 @@ same methods (``sub``, ``mul``, ``divmod``, ``gcd``, ``pow_mod``, ...),
 so each algorithm is written once.  ``det`` is Bareiss's fraction-free
 elimination on a matrix of polynomials in one variable; ``mpoly``
 computes its Sylvester resultants with it, and runs its bivariate gcd
-on the kernel's ``gcd``, ``divmod``, ``mul`` and ``sub`` directly.
+and its gcd over F_q[x]/(m) on the kernel's ``gcd``, ``divmod``, ``mul``
+and ``sub`` directly.
 Modular powers over F_p keep the polynomial as one int with a slot per
 coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
 a single big-int product.
 
 Roots have one entry on the kernel, ``_roots``, and root counts one,
 ``_count_roots``: ``roots`` and ``count_roots`` convert their input and
-call them, and ``pointsearch`` and ``verify`` call them on plane slices
-in kernel form (``mpoly.slice_gcd``), so over F_p a slice stays on ints
-from its rows to its roots.
+call them, ``pointsearch`` calls ``_roots`` on gcds of plane slices in
+kernel form (``mpoly.slice_gcd``) and ``verify`` calls ``_count_roots``
+on slices (``mpoly.slice_at``), so over F_p a slice stays on ints from
+its rows to its roots.  ``verify`` decides common zeros on the same
+kernel, with ``mpoly.slice_gcd`` at a point of F_q and
+``mpoly.slice_gcd_mod`` at a root of an irreducible m over F_q.
 
 Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole

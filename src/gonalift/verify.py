@@ -129,23 +129,17 @@ def _candidate_eliminant(polys):
 
 
 def _common_slice(polys, m):
-    """gcd over L = F[x]/(m) of the nonzero slices p(alpha, y), alpha a root of m in L.
+    """gcd of the nonzero slices p(alpha, y), alpha a root of m, over F_q[x]/(m).
 
     For an irreducible factor m of the eliminant of ``polys``, the roots
     of this gcd are the y-coordinates of the common zeros whose
     x-coordinate is a root of m.  None when every slice vanishes, that
-    is when the whole vertical line is a common zero.  L is the flat
-    field of ``ff.residue_field``, and the gcd is in the form of L's
-    ``upoly`` kernel (``mpoly.slice_gcd``).
+    is when the whole vertical line is a common zero.  The gcd is
+    ``mpoly.slice_gcd_mod``'s, up to a unit, on F_q's ``upoly`` kernel.
     """
-    field = polys[0].ring.coeff_ring
-    if upoly.degree(m) == 1:
-        L, alpha = field, -m[0]
-    else:
-        L, alpha = ff.residue_field(field, m)
-    K = upoly._kernel(L)
+    K = upoly._kernel(polys[0].ring.coeff_ring)
     rows = [[K.to(row) for row in mpoly.slice_rows(p, 0, 1)] for p in polys]
-    return mpoly.slice_gcd(K, rows, K.scalar(alpha))
+    return mpoly.slice_gcd_mod(K, rows, K.to(m))
 
 
 def _interior_failures(F: MPoly):
@@ -213,8 +207,9 @@ def common_affine_zero_exists(polys) -> bool:
 
     Decided by exact elimination, never by enumerating field elements: a
     nonconstant gcd is a whole curve of common zeros; otherwise the
-    eliminant confines the candidates to finitely many residue fields,
-    each inspected through gcds of the slices.
+    common zeros have x-coordinates among the roots of the eliminant, and
+    each irreducible factor m of it is inspected through a gcd of the
+    slices over F_q[x]/(m), with coefficients reduced mod m.
     """
     polys = [p for p in polys if p]
     if not polys:
@@ -485,8 +480,6 @@ def _transport(steps, coords, L):
         if kind == "linear":
             coords = tuple(sum((a * x for a, x in zip(row, coords)), L.zero)
                            for row in data[1])
-            if not any(coords):
-                return None
         elif kind == "substitute":
             if not data[1]:
                 return None  # no point map
@@ -497,8 +490,6 @@ def _transport(steps, coords, L):
                     return None
                 new.append(num.evaluate(coords, into=L) * dval.inverse())
             coords = tuple(new)
-            if not any(coords):
-                return None
         elif kind == "dehomog":
             i = data[0]
             if not coords[i]:

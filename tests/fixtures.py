@@ -21,9 +21,9 @@ def random_quartic(ring, rng, forced=None):
             if want == 0:
                 continue
             if want == "nonzero":
-                c = field.element(1 + rng.randrange(field.q - 1))
+                c = field.element_at(1 + rng.randrange(field.q - 1))
             else:
-                c = field.element(rng.randrange(field.q))
+                c = field.element_at(rng.randrange(field.q))
             terms.append((e, c))
     return ring.from_terms(terms)
 
@@ -39,7 +39,7 @@ def random_smooth_quartic(ring, rng, forced=None, tries=400):
 def random_scramble(field, rng):
     """A uniformly random invertible change of coordinates."""
     while True:
-        rows = [[field.element(rng.randrange(field.q)) for _ in range(3)]
+        rows = [[field.element_at(rng.randrange(field.q)) for _ in range(3)]
                 for _ in range(3)]
         if linalg.det(rows, field.zero, field.one):
             return LinearChange(field, rows)

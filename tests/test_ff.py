@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gonalift import upoly
-from gonalift.ff import FqField, chi2, flat_extension, is_prime, residue_field, sqrt
+from gonalift.ff import FqField, chi2, flat_extension, is_prime, sqrt
 
 
 def test_is_prime_small():
@@ -253,13 +252,6 @@ def test_mixed_fields_embed_the_smaller_element():
     assert f81.one + f81.embed(b) == f81.embed(f9.one + b)
 
 
-def _random_irreducible(field, d, rng):
-    while True:
-        m = [field.random_element(rng) for _ in range(d)] + [field.one]
-        if upoly.is_irreducible(field, m):
-            return m
-
-
 def _assert_embeds(small, big, rng, pairs=20):
     for _ in range(pairs):
         a, b = small.random_element(rng), small.random_element(rng)
@@ -269,66 +261,8 @@ def _assert_embeds(small, big, rng, pairs=20):
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)], ids=["F9", "F25", "F27"])
-def test_residue_field_holds_a_root_of_m(p, n):
+def test_flat_extensions_embed_the_base_field(p, n):
     field = FqField(p, n)
     rng = random.Random(p ** n)
     for k in (2, 3):
         _assert_embeds(field, flat_extension(field, k), rng)
-    for d in range(2, 7):
-        m = _random_irreducible(field, d, rng)
-        L, alpha = residue_field(field, m)
-        assert L.p == p and L.n == n * d
-        assert upoly._v_irreducible(list(L.modulus), p)  # Trager's norm, not re-tested
-        assert not upoly.eval_in(L, m, alpha)
-        _assert_embeds(field, L, rng)
-
-
-def test_residue_field_shifts_a_square_norm():
-    # x^3 - x - 1 has its roots in F_27, so its unshifted norm from F_9 is
-    # the square of their minimal polynomial, and the shift c = 1 is taken
-    f9 = FqField(3, 2)
-    m = [f9.element(-1), f9.element(-1), f9.zero, f9.one]
-    conj = [c ** 3 for c in m]
-    assert not upoly.is_squarefree(f9, upoly.mul(f9, m, conj))
-    L, alpha = residue_field(f9, m)
-    assert L.q == 3 ** 6
-    assert not upoly.eval_in(L, m, alpha)
-    _assert_embeds(f9, L, random.Random(5))
-
-
-def test_residue_field_over_a_prime_field_is_the_quotient():
-    f7 = FqField(7)
-    m = [f7.one, f7.zero, f7.one]  # x^2 + 1: -1 is a non-residue mod 7
-    L, alpha = residue_field(f7, m)
-    assert L == FqField(7, 2, [1, 0, 1])
-    assert alpha == L.element([0, 1])
-
-
-def test_residue_fields_are_not_reproved_irreducible(monkeypatch):
-    # the smoothness proof builds residue fields from factors upoly.factor
-    # has proved irreducible; none of them runs Rabin's test again
-    from fixtures import random_smooth_quartic
-    from gonalift import ff
-    from gonalift.mpoly import PolyRing
-    from gonalift.verify import plane_curve_is_smooth
-
-    F = random_smooth_quartic(PolyRing(FqField(127), ("X", "Y", "Z")), random.Random(3))
-    tests, built = [], []
-    real_test, real_residue = ff._v_irreducible, ff.residue_field
-
-    def counted_test(f, p):
-        tests.append(f)
-        return real_test(f, p)
-
-    def counted_residue(field, m):
-        out = real_residue(field, m)
-        built.append(out[0])
-        return out
-
-    monkeypatch.setattr(ff, "_v_irreducible", counted_test)
-    monkeypatch.setattr(ff, "residue_field", counted_residue)
-    assert plane_curve_is_smooth(F)
-    assert any(L.n >= 2 for L in built)
-    assert tests == []
-    for L in built:  # the moduli taken on trust are irreducible
-        assert upoly._v_irreducible(list(L.modulus), L.p)

@@ -4,7 +4,8 @@ A short sweep (3 runs per family, over F_31, F_37 and F_25) must print,
 for every family, a union of Newton polygons that lies inside the frozen
 entry of ``_derived_polygons.DERIVED``: a smaller sweep can only see less.
 Two runs of the output dumper with one seed must print the same JSON lines,
-the last of them the genus-6 report's replayed model and samples.
+each with a sparse quartic's verdicts, the last of them the genus-6 report's
+replayed model and samples.
 """
 
 import ast
@@ -46,7 +47,8 @@ def test_dump_outputs_is_reproducible_json():
     assert len(lines) == 3
     for line in lines:
         assert set(line) == {"quartic", "classify", "sample_birational", "report",
-                             "points", "toric"}
+                             "points", "toric", "sparse"}
+        assert set(line["sparse"]) == {"quartic", "smooth", "failures"}
         assert line["report"]["checks"]["sample_birational"] == \
             line["sample_birational"]["status"]
     # the genus-6 report: its trail replays to the plane model and carries points

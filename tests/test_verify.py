@@ -265,6 +265,16 @@ def test_trail_linear_dehomog_project():
     assert defined > 0
 
 
+def test_transport_keeps_the_affine_origin():
+    # after a point map or a dehomogenization the coordinates are affine,
+    # and (0, 0) is a point there, not an undefined image
+    Xp, Yp, Zp = PolyRing(F7, ("X", "Y", "Z")).gens()
+    to_plane = substitute_step([X, Y, R7.one()], [(Xp, Zp), (Yp, Zp)])
+    change = linear_step(LinearChange(F7, [[1, 2], [3, 4]]))
+    for trail in ([to_plane], [dehomog_step("Z"), change]):
+        assert forward_point((0, 0, 1), ("X", "Y", "Z"), trail, F7) == (F7.zero, F7.zero)
+
+
 def test_trail_replay_guards():
     with pytest.raises(InputError):
         replay_mod_p([], [])
@@ -519,22 +529,17 @@ def test_nodal_quartic_rejected():
 
 def test_common_zero_matches_brute_force_over_extensions():
     from gonalift.verify import common_affine_zero_exists
-    F5 = FqField(5)
-    A = PolyRing(F5, ("x", "y"))
     rng = random.Random(11)
 
-    def rand_poly():
-        f = A.zero()
-        for e in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-            f = f + A.monomial(e, F5.element(rng.randrange(5)))
-        return f
+    def rand_poly(A, degree):
+        field = A.coeff_ring
+        return A.from_terms(((i, t - i), field.element_at(rng.randrange(field.q)))
+                            for t in range(degree + 1) for i in range(t, -1, -1))
 
     def brute(polys, k):
-        # common zero with both coordinates in F_{5^k}: fix x, gcd in y
-        L = flat_extension(F5, k) if k > 1 else F5
-        lifted = [p.map_coefficients(lambda c: L.element(c.coeffs[0]),
-                                     PolyRing(L, ("x", "y")))
-                  for p in polys]
+        # common zero with both coordinates in F_{q^k}: fix x, gcd in y
+        L = flat_extension(polys[0].ring.coeff_ring, k)
+        lifted = [p.map_coefficients(L.element, PolyRing(L, ("x", "y"))) for p in polys]
         for i in range(L.q):
             x0 = L.element_at(i)
             slices = [[p.coeff_of(1, j).evaluate([x0, L.zero]) for j in
@@ -552,14 +557,19 @@ def test_common_zero_matches_brute_force_over_extensions():
                 return True
         return False
 
-    for _ in range(40):
-        polys = [rand_poly(), rand_poly()]
+    # two conics over F_5 meet in degree <= 4, so F_{5^4} already sees every
+    # point; a conic and a line over F_9 meet in degree <= 2, seen by F_81
+    A5, A9 = PolyRing(FqField(5), ("x", "y")), PolyRing(FqField(3, 2), ("x", "y"))
+    cases = [(A5, (2, 2), (1, 2, 3, 4))] * 40 + [(A9, (2, 1), (1, 2))] * 40
+    conjugate = 0
+    for A, degrees, ks in cases:
+        polys = [rand_poly(A, d) for d in degrees]
         if any(p.is_zero() for p in polys):
             continue
         got = common_affine_zero_exists(polys)
-        # conics meet in degree <= 4, so F_{5^4} already sees every point
-        seen = any(brute(polys, k) for k in (1, 2, 3, 4))
-        assert got == seen
+        assert got == any(brute(polys, k) for k in ks)
+        conjugate += A is A9 and got and not brute(polys, 1)
+    assert conjugate  # a degree-2 eliminant factor over F_9 meets the line
 
 
 def _three_chart_smooth(F):
@@ -639,3 +649,24 @@ def test_smoothness_runs_the_affine_elimination_once(monkeypatch):
     monkeypatch.setattr(verify, "common_affine_zero_exists", counted)
     assert verify.plane_curve_is_smooth(F)
     assert len(calls) == 1
+
+
+def test_common_zero_decisions_build_no_field(monkeypatch):
+    # each irreducible factor m of an eliminant is handled over F_q[x]/(m)
+    # on F_q's own kernel: no element of any other field is made, so no
+    # field is built (a new field makes its zero and one)
+    from gonalift.ff import FqElement
+    from gonalift.verify import plane_curve_is_smooth
+    F127 = FqField(127)
+    F = random_smooth_quartic(PolyRing(F127, ("X", "Y", "Z")), random.Random(3))
+    fields = set()
+    init = FqElement.__init__
+
+    def recorded(self, field, coeffs):
+        fields.add(field)
+        init(self, field, coeffs)
+
+    monkeypatch.setattr(FqElement, "__init__", recorded)
+    assert plane_curve_is_smooth(F)
+    assert not check_nondegenerate((Y - 1) * (Y + 2 - X**2)).ok  # x^2 = 3 over F_7
+    assert fields == {F127, F7}

@@ -8,7 +8,11 @@ left out) the line holds the quartic, its points in canonical order
 ``classify_gonality3`` result, the ``sample_birational`` dict,
 ``LiftReport.to_json()`` after ``run_checks``, and ``toric``: the
 ``toric_point_count`` of the reduced lift when ``nondegenerate``
-passes, else null.  The library defaults hold throughout.  A last
+passes, else null.  Under ``sparse`` the line also holds a seeded quartic
+with each monomial kept with probability 0.6, smooth or not: its
+``plane_curve_is_smooth`` verdict and the ``check_nondegenerate``
+failures of its model dehomogenised at Z, so singular and degenerate
+verdicts are compared too.  The library defaults hold throughout.  A last
 line, ``{"g6": ...}``, holds the genus-6 report of ``tests/g6_fixture.py``:
 its trail replayed on the canonical ideal (``replay_mod_p``) and its
 ``sample_birational`` dict with 6 samples, which takes points through
@@ -34,14 +38,28 @@ sys.path.insert(0, str(ROOT / "tests"))
 import g6_fixture
 from derive_polygons import random_smooth_quartic
 from gonalift import ff, lift3, verify
-from gonalift.mpoly import PolyRing
+from gonalift.mpoly import PolyRing, dehomogenize
 from gonalift.pointsearch import points_on_plane_curve
+
+
+def sparse_quartic(ring, rng):
+    """A nonzero quartic form, each monomial kept with probability 0.6."""
+    field = ring.coeff_ring
+    while True:
+        F = ring.from_terms(((a, b, 4 - a - b), field.random_nonzero(rng))
+                            for a in range(5) for b in range(5 - a) if rng.random() < 0.6)
+        if F:
+            return F
 
 
 def dump(field, count, seed, out):
     rng = random.Random(seed)
+    sparse_rng = random.Random(f"sparse {seed}")
     ring = PolyRing(field, ("X", "Y", "Z"))
     for _ in range(count):
+        S = sparse_quartic(ring, sparse_rng)
+        sparse = {"quartic": S.to_dict(), "smooth": verify.plane_curve_is_smooth(S),
+                  "failures": verify.check_nondegenerate(dehomogenize(S, 2)).failures}
         F = random_smooth_quartic(ring, rng)
         lift_seed = rng.randrange(2 ** 31)
         C = lift3.Genus3Input(F)
@@ -56,7 +74,7 @@ def dump(field, count, seed, out):
         line = {"quartic": F.to_dict(), "classify": cls,
                 "points": [p.key() for p in points_on_plane_curve(F)],
                 "sample_birational": sampled, "report": report.to_json(),
-                "toric": toric}
+                "toric": toric, "sparse": sparse}
         out.write(json.dumps(line, sort_keys=True) + "\n")
     report = g6_fixture.report()
     replayed = verify.replay_mod_p(report.input_gens, report.trail)
