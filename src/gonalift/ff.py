@@ -4,7 +4,7 @@
 fixed-length vector of ints, little-endian in t, always reduced.  It is
 the one field class: the extension F_{q^k} is the flat field F_{p^(nk)}
 (``flat_extension``).  Residue fields F_q[x]/(m) are not built: the
-certificates reduce F_q's polynomials mod m (``mpoly.slice_gcd_mod``).
+certificates reduce F_q's polynomials mod m (``mpoly.PlaneSlices.gcd_mod``).
 
 F_q embeds into every F_{p^N} with n | N by sending t to the first root
 of its modulus in F_{p^N}'s enumeration order (Lenstra, "Finding

@@ -260,45 +260,28 @@ class MPoly:
         return MPoly(self.ring, out)
 
     def evaluate(self, values, into=None):
-        """Full evaluation; coefficients are coerced into the target ring.
+        """Full evaluation in a field: ``into``, or the coefficient field.
 
-        ``into`` may be a coefficient ring or a PolyRing, so curves can be
-        restricted to parametrized lines by passing polynomial values.
-        The powers of each value are built once per call, by repeated
-        multiplication up to the largest exponent a term asks for.  Into
-        a field, every value and coefficient is coerced once and the sum
-        is taken on coefficient vectors with the field's ``_mul`` and
-        ``_add``, so only the result becomes a field element.
+        Every value and coefficient is coerced into the field once, and the
+        sum is taken on coefficient vectors with the field's ``_mul`` and
+        ``_add``, so only the result becomes a field element.  The powers
+        of each value are built once per call, by repeated multiplication
+        up to the largest exponent a term asks for.  A curve restricted to
+        a parametrized line is ``substitute``'s.
         """
         ring = into if into is not None else self.ring.coeff_ring
         if len(values) != self.ring.nvars:
             raise InputError("wrong number of values")
-        if getattr(ring, "is_field", False):
-            element, mul, add = ring.element, ring._mul, ring._add
-            powers = [[None, element(v).coeffs] for v in values]
-            acc = ring.zero.coeffs
-            for e, c in self.terms.items():
-                t = element(c).coeffs
-                for pw, ei in zip(powers, e):
-                    if ei:
-                        t = mul(t, _power(pw, ei, mul))
-                acc = add(acc, t)
-            return FqElement(ring, acc)
-        if isinstance(ring, PolyRing):
-            coerce = lambda v: v if isinstance(v, MPoly) else ring.constant(v)
-            zero = ring.zero()
-        else:
-            coerce = ring.element
-            zero = ring.zero
-        powers = [[None, coerce(v)] for v in values]
-        acc = zero
+        element, mul, add = ring.element, ring._mul, ring._add
+        powers = [[None, element(v).coeffs] for v in values]
+        acc = ring.zero.coeffs
         for e, c in self.terms.items():
-            t = coerce(c)
+            t = element(c).coeffs
             for pw, ei in zip(powers, e):
                 if ei:
-                    t = t * _power(pw, ei)
-            acc = acc + t
-        return acc
+                    t = mul(t, _power(pw, ei, mul))
+            acc = add(acc, t)
+        return FqElement(ring, acc)
 
     def partial_eval(self, assignments):
         """Evaluate some variables; the result keeps the same ring."""
@@ -487,11 +470,10 @@ def dehomogenize(f, var):
 # ---------------------------------------------------------------------------
 # plane slices
 #
-# Every loop over the slices f(u0, v) of a plane curve goes through these
-# functions: the rows are built once per polynomial and converted once to
-# a ``upoly`` kernel's form, and each slice is one Horner pass per row there.
-# At the roots of an irreducible m over the kernel's field F, a slice is its
-# rows reduced mod m instead, over the field F[u]/(m) (``slice_gcd_mod``).
+# Every loop over the slices f(u0, v) of plane equations goes through
+# ``PlaneSlices``, the one place outside ``upoly`` that knows its kernel form.
+# A slice at a point is one Horner pass per row; at the roots of an
+# irreducible m over the kernel's field F it is the rows reduced mod m.
 
 
 def slice_rows(f, u, v):
@@ -511,58 +493,92 @@ def slice_rows(f, u, v):
     return rows
 
 
-def slice_at(rows, K, u0):
-    """The slice f(u0, v), trimmed, from the rows of ``slice_rows`` in K's form.
+class PlaneSlices:
+    """The slices p(u0, v) of plane equations p, supported on variables u and v.
 
-    K is a ``upoly`` kernel; each row went through ``K.to`` and u0
-    through ``K.scalar``.  The slice comes out in K's form.
+    Each equation's ``slice_rows`` are converted once to the ``upoly``
+    kernel of L, by default the coefficient field: int lists mod p over a
+    prime field, lists of elements otherwise.  Slices and gcds stay in
+    kernel form; callers read only their lengths and which of their
+    coefficients vanish.  Points u0 lie in L; roots are field elements.
     """
-    return K.trim([K.eval(row, u0) for row in rows])
 
+    __slots__ = ("_K", "_rows")
 
-def slice_gcd(K, rows_list, u0):
-    """gcd of the nonzero slices at u0, one per polynomial's rows, as for ``slice_at``.
+    def __init__(self, polys, u, v, L=None):
+        K = self._K = upoly._kernel(polys[0].ring.coeff_ring if L is None else L)
+        self._rows = [[K.to(row) for row in slice_rows(p, u, v)] for p in polys]
 
-    None when every slice vanishes.  The fold stops at the first constant
-    gcd, which no later slice can make nonconstant again.
-    """
-    return _gcd_fold((slice_at(rows, K, u0) for rows in rows_list), K.gcd)
+    def _slices(self, u0):
+        K = self._K
+        x = K.scalar(u0)
+        return (K.trim([K.eval(row, x) for row in rows]) for rows in self._rows)
 
+    def at(self, u0):
+        """The first equation's slice at u0, trimmed."""
+        return next(self._slices(u0))
 
-def slice_gcd_mod(K, rows_list, m):
-    """``slice_gcd`` at a root of m, over F[u]/(m) in K's form: no field is built.
+    def gcd(self, u0):
+        """gcd of the nonzero slices at u0; None when every slice vanishes.
 
-    m is monic irreducible over K's field F, in K's form like the rows.
-    A slice is its rows reduced mod m, a list of residues (the zero
-    residue is []).  Euclid runs on pseudo-remainders: each elimination
-    step multiplies by the divisor's leading coefficient instead of
-    dividing by it and reduces every coefficient mod m, so nothing grows
-    and no inverse is taken.  The gcd is known up to a unit of F[u]/(m):
-    its length and which of its coefficients vanish are exact.
-    """
-    def reduced(a):
-        a = [K.divmod(c, m)[1] for c in a]
-        while a and not a[-1]:
-            a.pop()
-        return a
+        The fold stops at the first constant gcd, which no later slice can
+        make nonconstant again.
+        """
+        return _gcd_fold(self._slices(u0), self._K.gcd)
 
-    def prem(a, b):
-        db, lb = len(b) - 1, b[-1]
-        while len(a) > db:
-            top, k = a[-1], len(a) - 1 - db
-            # lb * a - top * v^k * b; its top coefficient cancels exactly
-            a = reduced([K.mul(c, lb) for c in a[:k]]
-                        + [K.sub(K.mul(a[k + j], lb), K.mul(top, b[j])) for j in range(db)])
-        return a
+    def roots(self, u0, L=None):
+        """Common roots of the slices at u0 in L (by default the kernel's field).
 
-    def gcd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        while len(b) > 1:
-            a, b = b, prem(a, b)
-        return b or a
+        Sorted by L's enumeration index; None when every slice vanishes,
+        which the caller reads as every v or as nothing.
+        """
+        g = self.gcd(u0)
+        if g is None:
+            return None
+        if len(g) < 2:
+            return []
+        return upoly._roots(self._K.field if L is None else L, self._K, g)
 
-    return _gcd_fold(map(reduced, rows_list), gcd)
+    def count_roots(self, s):
+        """Number of distinct roots, in the kernel's field, of a slice s in kernel form."""
+        return upoly._count_roots(self._K, s)
+
+    def gcd_mod(self, m):
+        """``gcd`` at a root of m, over F[u]/(m) in kernel form: no field is built.
+
+        m is a monic irreducible list of elements of the kernel's field F,
+        and a slice is its rows reduced mod m.  Euclid runs on
+        pseudo-remainders, each step multiplying by the divisor's leading
+        coefficient and reducing mod m, so nothing grows and no inverse is
+        taken.  The gcd is exact up to a unit of F[u]/(m).
+        """
+        K = self._K
+        m = K.to(m)
+
+        def reduced(a):
+            a = [K.rem(c, m) for c in a]
+            while a and not a[-1]:
+                a.pop()
+            return a
+
+        def prem(a, b):
+            db, lb = len(b) - 1, b[-1]
+            while len(a) > db:
+                top, k = a[-1], len(a) - 1 - db
+                # lb * a - top * v^k * b; its top coefficient cancels exactly
+                a = reduced([K.mul(c, lb) for c in a[:k]]
+                            + [K.sub(K.mul(a[k + j], lb), K.mul(top, b[j]))
+                               for j in range(db)])
+            return a
+
+        def gcd(a, b):
+            if len(a) < len(b):
+                a, b = b, a
+            while len(b) > 1:
+                a, b = b, prem(a, b)
+            return b or a
+
+        return _gcd_fold(map(reduced, self._rows), gcd)
 
 
 def _gcd_fold(slices, gcd):
@@ -720,8 +736,8 @@ def bivariate_gcd(fs):
     Subresultant-style primitive PRS in the second variable with content
     splitting over F_q[x]; the result is normalized to leading
     coefficient 1 in graded lex.  The rows in y are converted once to
-    ``upoly``'s kernel for the field (int lists mod p over a prime
-    field, lists of elements otherwise) and the whole PRS runs there.
+    ``upoly``'s kernel for the field by ``PlaneSlices``, and the whole
+    PRS runs there.
     """
     fs = [f for f in fs if f]
     if not fs:
@@ -729,13 +745,9 @@ def bivariate_gcd(fs):
     ring = fs[0].ring
     if ring.nvars != 2:
         raise InputError("bivariate_gcd expects two variables")
-    K = upoly._kernel(ring.coeff_ring)
-    g = None
-    for f in fs:
-        rows = [K.to(row) for row in slice_rows(f, 0, 1)]
-        if g is None:
-            g = rows
-            continue
+    S = PlaneSlices(fs, 0, 1)
+    K, (g, *rest) = S._K, S._rows
+    for rows in rest:
         g = _gcd2(K, g, rows)
         if len(g) == 1 and len(g[0]) == 1:
             break  # a nonzero constant

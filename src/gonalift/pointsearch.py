@@ -3,11 +3,11 @@
 A plane curve f(X, Y, Z) = 0 is searched slice by slice: the chart
 X = 1 is cut into the lines Y = u, and each slice f(1, u, v) is a
 univariate solved by exact root extraction.  Every slice, here and in
-``sample_curve_points``, is solved by ``_solve_slice``: the rows of
-f(1, u, v) (``mpoly.slice_rows``) are converted once to the kernel of
-``upoly`` for the field (int lists over F_p), the slices are evaluated
-and reduced to their gcd there (``mpoly.slice_gcd``), and the roots
-come from ``upoly._roots``.  The line X = 0 is one more slice.
+``sample_curve_points``, is solved by ``mpoly.PlaneSlices.roots``: the
+rows of f(1, u, v) are converted once to ``upoly``'s kernel for the
+field (int lists over F_p), and each slice is evaluated, reduced to the
+gcd of the equations' slices and solved there.  The line X = 0 is one
+more slice.
 ``points_on_plane_curve`` takes the line X = 0 first and then the chart
 with u in the field's element order, so "first found" is reproducible;
 ``PointStream`` takes the chart with u in a seeded order and the line
@@ -27,7 +27,7 @@ import itertools
 
 from . import upoly
 from .errors import InputError, SingularPoint
-from .mpoly import PolyRing, derivative, resultant, slice_gcd, slice_rows
+from .mpoly import PlaneSlices, PolyRing, derivative, resultant, slice_rows, substitute
 
 #: solutions ``_solve_zero_dim`` returns at most, per call
 _ZERO_DIM_CAP = 64
@@ -61,19 +61,6 @@ class ProjPoint:
         return tuple(self.field.index_of(c) for c in self.coords)
 
 
-def _solve_slice(K, rows, u, L):
-    """Common roots in L of the slices at u of plane equations; None when all vanish.
-
-    ``rows`` (each equation's rows) and u are in the form of K, the kernel
-    of the coefficient field or of L.  The caller decides what a slice on
-    which every equation vanishes means: every v, or nothing.
-    """
-    g = slice_gcd(K, rows, u)
-    if g is None:
-        return None
-    return upoly._roots(L, K, g) if len(g) > 1 else []
-
-
 def _chart(f, x, us):
     """Points (x : u : v) of a plane curve for u in ``us``, slice by slice.
 
@@ -82,10 +69,9 @@ def _chart(f, x, us):
     through (x : u : 0) and (0 : 0 : 1) is a component of the curve).
     """
     field = f.ring.coeff_ring
-    K = upoly._kernel(field)
-    rows = [[K.to(row) for row in slice_rows(f.partial_eval({0: x}), 1, 2)]]
+    slices = PlaneSlices([f.partial_eval({0: x})], 1, 2)
     for u in us:
-        vs = _solve_slice(K, rows, K.scalar(u), field)
+        vs = slices.roots(u)
         for v in field.elements() if vs is None else vs:
             yield ProjPoint(field, [x, u, v])
 
@@ -170,8 +156,8 @@ def _solve_two_vars(polys, field, upos, vpos, ext=None):
 
     The candidates for u are the roots of the resultant of the first two
     equations when it is nonzero, and every element of the coefficient
-    field otherwise; each candidate's slices come from the equations'
-    slice rows, solved on the kernel of L, where the candidates lie.
+    field otherwise; each candidate's slices are solved by one
+    ``PlaneSlices`` of the equations over L, where the candidates lie.
     Yields pairs in canonical order.  With ``ext`` the zeros are taken in
     the extension while the resultant stays over the (cheap) coefficient
     field.
@@ -185,10 +171,9 @@ def _solve_two_vars(polys, field, upos, vpos, ext=None):
         if r:
             rc = slice_rows(r, upos, vpos)[0]
             candidates = upoly.roots(L, rc) if len(rc) > 1 else []
-    K = upoly._kernel(L)
-    rows = [[K.to(row) for row in slice_rows(p, upos, vpos)] for p in polys]
+    slices = PlaneSlices(polys, upos, vpos, L)
     for u in candidates:
-        vs = _solve_slice(K, rows, K.scalar(u), L)
+        vs = slices.roots(u)
         for v in L.elements() if vs is None else vs:
             yield u, v
 
@@ -277,10 +262,10 @@ def sample_curve_points(polys, limit, rng, ext=None):
     Each draw takes a random chart x_c = 1, a random position i and a
     random value a, and solves the curve on the hyperplane x_i = a of
     that chart.  In P^2 that is one slice of the plane curve, solved by
-    ``_solve_slice`` on rows built and converted to the coefficient
-    field's kernel once per (chart, position).  Every root of the slices'
-    gcd is a zero of each equation on the line, so a P^2 point is kept as
-    found; a slice on which every equation vanishes gives nothing.  In
+    one ``PlaneSlices`` of the equations per (chart, position), over the
+    coefficient field.  Every root of the slices' gcd is a zero of each
+    equation on the line, so a P^2 point is kept as found; a slice on
+    which every equation vanishes gives nothing.  In
     P^3-P^5 the residual system is zero-dimensional and solved by
     elimination, which can return spurious candidates, so each one is
     re-checked against the full system (``MPoly.evaluate`` on coefficient
@@ -295,7 +280,7 @@ def sample_curve_points(polys, limit, rng, ext=None):
     points of residue degree up to d across slices.  In P^2 the slice
     gcd has coefficients in F_q, so its roots in ext come from factoring
     over F_q first, and over a prime field F_p with ext = F_{p^2} the
-    quadratic factors are solved in closed form (``upoly._roots``).
+    quadratic factors are solved in closed form (``upoly.roots``).
     """
     polys = [p for p in polys if p is not None and p]
     if not polys:
@@ -309,8 +294,7 @@ def sample_curve_points(polys, limit, rng, ext=None):
     found = []
     seen = set()
     solved = set()  # (chart, position, value): a repeated draw finds nothing new
-    rows = {}  # (chart, position) -> slice rows of each equation, in P^2
-    K = upoly._kernel(field)
+    slices = {}  # (chart, position) -> the equations' PlaneSlices, in P^2
     budget = max(32 * limit, 64)
     while budget > 0 and len(found) < limit and len(solved) < n * (n - 1) * field.q:
         budget -= 1
@@ -323,13 +307,10 @@ def sample_curve_points(polys, limit, rng, ext=None):
         solved.add((chart, pos, fixed[pos]))
         if n == 3:
             w = free[0]
-            if (chart, pos) not in rows:
-                rows[chart, pos] = [
-                    [K.to(row) for row in slice_rows(p.partial_eval({chart: field.one}),
-                                                     pos, w)]
-                    for p in polys]
-            vs = _solve_slice(K, rows[chart, pos], K.scalar(fixed[pos]), L)
-            sols = [{w: v} for v in vs or []]
+            if (chart, pos) not in slices:
+                slices[chart, pos] = PlaneSlices(
+                    [p.partial_eval({chart: field.one}) for p in polys], pos, w)
+            sols = [{w: v} for v in slices[chart, pos].roots(fixed[pos], L) or []]
         else:
             restricted = [p.partial_eval(fixed) for p in polys]
             sols = _solve_zero_dim(restricted, field, free, ext=ext)
@@ -384,36 +365,25 @@ def _contact_profile(f, p, line):
     """Multiplicities of line [cap] curve: (at P, at the chart point, rest).
 
     Parametrizes the tangent as P + t*V and factors the restricted
-    univariate; the point "at infinity" of the chart is V itself.
+    univariate; its linear factors give the other rational points, by
+    root index, and the point "at infinity" of the chart is V itself.
     """
     field = p.field
     v = line_basis(line, p)
     tring = PolyRing(field, ("t",))
     t = tring.variable(0)
-    values = [tring.constant(pc) + t * vc for pc, vc in zip(p.coords, v.coords)]
-    g = f.evaluate(values, into=tring)
+    g = substitute(f, [tring.constant(pc) + t * vc for pc, vc in zip(p.coords, v.coords)])
     coeffs = [g.coeff((k,)) for k in range(g.total_degree() + 1)]
-    deg_total = f.total_degree()
     if upoly.is_zero(coeffs):
         raise InputError("line is a component of the curve")
     mult0 = next(i for i, c in enumerate(coeffs) if c)
-    at_infinity = deg_total - upoly.degree(coeffs)
-    shifted = coeffs[mult0:]
-    others = []
-    for r in upoly.roots(field, shifted):
-        if not r:
-            continue
-        m = 0
-        rem = shifted
-        while True:
-            quo, rem2 = upoly.divmod_(field, rem, [-r, field.one])
-            if upoly.is_zero(rem2):
-                m += 1
-                rem = quo
-            else:
-                break
-        others.append((ProjPoint(field, [pc + r * vc for pc, vc
-                                         in zip(p.coords, v.coords)]), m))
+    at_infinity = f.total_degree() - upoly.degree(coeffs)
+    # t does not divide the shifted restriction, so no root is 0
+    _, pieces = upoly.factor(field, coeffs[mult0:])
+    roots = sorted(((-h[0], m) for h, m in pieces if len(h) == 2),
+                   key=lambda rm: field.index_of(rm[0]))
+    others = [(ProjPoint(field, [pc + r * vc for pc, vc in zip(p.coords, v.coords)]), m)
+              for r, m in roots]
     if at_infinity:
         others.append((v, at_infinity))
     return mult0, others

@@ -13,24 +13,21 @@ determinant ``det`` run on one kernel per field kind: over a prime
 field the polynomials become int lists mod p once, on the way in, and
 field elements again on the way out (``_Ints``); over every other field
 they stay lists of elements (``_Elements``).  Both kernels offer the
-same methods (``sub``, ``mul``, ``divmod``, ``gcd``, ``pow_mod``, ...),
-so each algorithm is written once.  ``det`` is Bareiss's fraction-free
-elimination on a matrix of polynomials in one variable; ``mpoly``
-computes its Sylvester resultants with it, and runs its bivariate gcd
-and its gcd over F_q[x]/(m) on the kernel's ``gcd``, ``divmod``, ``mul``
-and ``sub`` directly.
+same methods (``sub``, ``mul``, ``divmod``, ``rem``, ``gcd``,
+``pow_mod``, ...), so each algorithm is written once.  ``det`` is
+Bareiss's fraction-free elimination on a matrix of polynomials in one
+variable; ``mpoly`` computes its Sylvester resultants with it.
 Modular powers over F_p keep the polynomial as one int with a slot per
 coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
 a single big-int product.
 
 Roots have one entry on the kernel, ``_roots``, and root counts one,
 ``_count_roots``: ``roots`` and ``count_roots`` convert their input and
-call them, ``pointsearch`` calls ``_roots`` on gcds of plane slices in
-kernel form (``mpoly.slice_gcd``) and ``verify`` calls ``_count_roots``
-on slices (``mpoly.slice_at``), so over F_p a slice stays on ints from
-its rows to its roots.  ``verify`` decides common zeros on the same
-kernel, with ``mpoly.slice_gcd`` at a point of F_q and
-``mpoly.slice_gcd_mod`` at a root of an irreducible m over F_q.
+call them.  Outside this module only ``mpoly`` works in kernel form: its
+bivariate gcd, and ``mpoly.PlaneSlices``, which holds the plane slices
+that point search and the certificates solve, folds their gcds at a
+point or over F_q[x]/(m), and calls ``_roots`` and ``_count_roots`` on
+them, so over F_p a slice stays on ints from its rows to its roots.
 
 Roots are split off by Cantor-Zassenhaus (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14) with shifts drawn from the whole
@@ -600,6 +597,9 @@ class _Ints(_Kernel):
         q, r = _vdivmod(a, b, self.p)
         return _vtrim(q), r
 
+    def rem(self, a, b):
+        return _vrem(a, b, self.p)
+
     def gcd(self, a, b):
         return _vgcd(a, b, self.p)
 
@@ -666,6 +666,9 @@ class _Elements(_Kernel):
 
     def divmod(self, a, b):
         return divmod_(self.field, a, b)
+
+    def rem(self, a, b):
+        return rem(self.field, a, b)
 
     def gcd(self, a, b):
         field = self.field
@@ -756,7 +759,19 @@ def _vdivmod(a, b, p):
 
 
 def _vrem(a, b, p):
-    return _vdivmod(a, b, p)[1]
+    """The remainder of ``_vdivmod`` without the quotient; a monic b takes no inverse."""
+    r = _vtrim(list(a))
+    b = _vtrim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv = 1 if b[db] == 1 else pow(b[db], p - 2, p)
+    for i in range(len(r) - db - 1, -1, -1):
+        c = r[i + db] * inv % p
+        if c:
+            for j in range(db + 1):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return _vtrim(r)
 
 
 def _vpowmod(a, e, m, p):

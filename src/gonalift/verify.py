@@ -128,23 +128,25 @@ def _candidate_eliminant(polys):
     return upoly.mul(field, e1, e2)
 
 
-def _common_slice(polys, m):
-    """gcd of the nonzero slices p(alpha, y), alpha a root of m, over F_q[x]/(m).
+def _fibres(polys):
+    """(m, common) for each irreducible factor m of the eliminant of ``polys``.
 
-    For an irreducible factor m of the eliminant of ``polys``, the roots
-    of this gcd are the y-coordinates of the common zeros whose
-    x-coordinate is a root of m.  None when every slice vanishes, that
-    is when the whole vertical line is a common zero.  The gcd is
-    ``mpoly.slice_gcd_mod``'s, up to a unit, on F_q's ``upoly`` kernel.
+    common is the gcd over F_q[x]/(m) of the nonzero slices p(alpha, y),
+    alpha a root of m, from one ``mpoly.PlaneSlices`` for all factors: its
+    roots are the y-coordinates of the common zeros above the roots of m.
+    None when every slice vanishes: the vertical line is a common zero.
     """
-    K = upoly._kernel(polys[0].ring.coeff_ring)
-    rows = [[K.to(row) for row in mpoly.slice_rows(p, 0, 1)] for p in polys]
-    return mpoly.slice_gcd_mod(K, rows, K.to(m))
+    r = _candidate_eliminant(polys)
+    if upoly.degree(r) < 1:
+        return
+    _, pieces = upoly.factor(polys[0].ring.coeff_ring, r)
+    slices = mpoly.PlaneSlices(polys, 0, 1)
+    for m, _mult in pieces:
+        yield m, slices.gcd_mod(m)
 
 
 def _interior_failures(F: MPoly):
     """Witnesses against nondegeneracy on the two-dimensional face."""
-    field = F.ring.coeff_ring
     Fx = mpoly.derivative(F, 0)
     Fy = mpoly.derivative(F, 1)
     actives = [D for D in (Fx, Fy) if D]
@@ -155,14 +157,9 @@ def _interior_failures(F: MPoly):
         return [{"face": "interior", "reason": "singular along a whole component",
                  "witness": str(g)}]
     fails = []
-    r = _candidate_eliminant([F] + actives)
-    if upoly.degree(r) < 1:
-        return fails
-    _, pieces = upoly.factor(field, r)
-    for m, _mult in pieces:
+    for m, common in _fibres([F] + actives):
         if upoly.degree(m) == 1 and not m[0]:
             continue  # x = 0 lies outside the torus
-        common = _common_slice([F] + actives, m)
         witness = {"face": "interior", "x_min_poly": [list(cf.coeffs) for cf in m]}
         if common is None:
             witness["reason"] = "the face vanishes on a vertical line"
@@ -218,19 +215,10 @@ def common_affine_zero_exists(polys) -> bool:
         raise InputError("the common-zero test works on plane systems")
     if any(p.total_degree() == 0 for p in polys):
         return False
-    field = polys[0].ring.coeff_ring
     g = mpoly.bivariate_gcd(polys)
     if g.total_degree() >= 1:
         return True
-    r = _candidate_eliminant(polys)
-    if upoly.degree(r) < 1:
-        return False
-    _, pieces = upoly.factor(field, r)
-    for m, _mult in pieces:
-        common = _common_slice(polys, m)
-        if common is None or len(common) > 1:
-            return True
-    return False
+    return any(common is None or len(common) > 1 for _m, common in _fibres(polys))
 
 
 def plane_curve_is_smooth(F: MPoly) -> bool:
@@ -258,10 +246,8 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
     system = [F] + [d for d in (mpoly.derivative(F, i) for i in range(3)) if d]
     if not any(g.evaluate([field.one, field.zero, field.zero]) for g in system):
         return False
-    K = upoly._kernel(field)
-    rows = [[K.to(row) for row in mpoly.slice_rows(g.partial_eval({2: field.zero}), 1, 0)]
-            for g in system]
-    common = mpoly.slice_gcd(K, rows, K.scalar(field.one))
+    line = mpoly.PlaneSlices([g.partial_eval({2: field.zero}) for g in system], 1, 0)
+    common = line.gcd(field.one)
     if common is None or len(common) > 1:
         return False
     return not common_affine_zero_exists([mpoly.dehomogenize(g, 2) for g in system])
@@ -293,16 +279,15 @@ def toric_point_count(fbar: MPoly, k: int = 1, cert: Nondegeneracy = None) -> in
     P = polygon.newton_polygon(F)
     if P.double_area() == 0:
         raise InputError("point counting needs a two-dimensional Newton polygon")
-    K = upoly._kernel(L)
-    rows = [K.to(row) for row in mpoly.slice_rows(F, 0, 1)]
+    slices = mpoly.PlaneSlices([F], 0, 1, L)
 
     def torus_roots_at(x0):
-        s = mpoly.slice_at(rows, K, K.scalar(x0))
+        s = slices.at(x0)
         if not s:
             raise DegenerateModel("the model vanishes on a vertical line")
         while not s[0]:
             s = s[1:]  # discard roots at y = 0
-        return upoly._count_roots(K, s)
+        return slices.count_roots(s)
 
     total = 0
     if k == 1:

@@ -8,8 +8,8 @@ from gonalift import linalg, mpoly, upoly
 from gonalift.errors import AllZero, InputError, SingularMatrix, ZeroInput
 from gonalift.ff import FqField, flat_extension
 from gonalift.mpoly import (
-    LinearChange, PolyRing, bivariate_gcd, dehomogenize, derivative, divide_exact,
-    from_dict, resultant, slice_at, slice_gcd, slice_rows, substitute,
+    LinearChange, PlaneSlices, PolyRing, bivariate_gcd, dehomogenize, derivative,
+    divide_exact, from_dict, resultant, slice_rows, substitute,
 )
 from gonalift.ok import OkRing
 
@@ -449,11 +449,11 @@ def test_partial_eval_and_evaluate():
             assert got == f.evaluate(vals)
         # a parametrized line, as tangent_contact restricts a curve to one
         line = [tring.constant(rng.randrange(7)) + t * rng.randrange(7) for _ in range(3)]
-        assert f.evaluate(line, into=tring) == by_powers(f, line, tring)
+        assert substitute(f, line) == by_powers(f, line, tring)
     assert R3.zero().evaluate([1, 2, 3], into=f49) == f49.zero
 
 
-def test_slice_rows_and_slice_at_match_partial_evaluation():
+def test_slice_rows_and_plane_slices_match_partial_evaluation():
     def by_partial_eval(f, u, v, u0):
         """f(u0, v) over f's own field: partial_eval, then v's coefficients."""
         g = f.partial_eval({u: u0})
@@ -491,15 +491,15 @@ def test_slice_rows_and_slice_at_match_partial_evaluation():
                     assert len(rows) == g.degree_in(v) + 1
                     assert all(row == upoly.trim(row) for row in rows)
                     # in kernel form, over the field and over its extension
-                    krows = [K.to(row) for row in rows]
-                    erows = [KE.to(row) for row in rows]
+                    slices = PlaneSlices([g], u, v)
+                    ext_slices = PlaneSlices([g], u, v, ext)
                     for u0 in [a] + [field.random_element(rng) for _ in range(3)]:
                         want = by_partial_eval(g, u, v, u0)
-                        assert K.back(slice_at(krows, K, K.scalar(u0))) == want
+                        assert K.back(slices.at(u0)) == want
                         if g is vanishing and u == 1 and u0 == a:
                             assert want == []
                     for u0 in [ext.embed(a)] + [ext.random_element(rng) for _ in range(2)]:
-                        got = slice_at(erows, KE, KE.scalar(u0))
+                        got = ext_slices.at(u0)
                         assert KE.back(got) == by_evaluation(g, u, v, ext, u0)
 
 
@@ -514,20 +514,21 @@ def test_slice_gcd_folds_the_nonzero_slices():
             polys = [(v - b) * rand_poly(R, rng) + (u - a) * rand_poly(R, rng)
                      for _ in range(3)]
             polys.insert(1, (u - a) * rand_poly(R, rng))  # its slice vanishes
-            rows = [[K.to(row) for row in slice_rows(f, 0, 1)] for f in polys]
-            slices = [K.back(slice_at(r, K, K.scalar(a))) for r in rows]
-            nonzero = [s for s in slices if s]
+            slices = PlaneSlices(polys, 0, 1)
+            each = [K.back(PlaneSlices([f], 0, 1).at(a)) for f in polys]
+            nonzero = [s for s in each if s]
             if not nonzero:
-                assert slice_gcd(K, rows, K.scalar(a)) is None
+                assert slices.gcd(a) is None and slices.roots(a) is None
                 continue
             want = nonzero[0]
             for s in nonzero[1:]:
                 want = upoly.gcd(field, want, s)
-            got = K.back(slice_gcd(K, rows, K.scalar(a)))
+            got = K.back(slices.gcd(a))
             assert upoly.monic(field, got) == upoly.monic(field, want)
             assert len(got) > 1 and not upoly.eval_in(field, got, b)  # v = b is common
+            assert slices.roots(a) == upoly.roots(field, want)
         # every slice vanishes, and a constant slice ends the fold
-        line = [[K.to(row) for row in slice_rows(f, 0, 1)] for f in (u - 1, (u - 1) * v)]
-        assert slice_gcd(K, line, K.scalar(field.one)) is None
-        assert slice_gcd(K, line + [[[K.one]]] + line, K.scalar(field.one)) == [K.one]
-        assert slice_gcd(K, [], K.scalar(field.one)) is None
+        line = [u - 1, (u - 1) * v]
+        assert PlaneSlices(line, 0, 1).gcd(field.one) is None
+        assert PlaneSlices(line + [R.one()] + line, 0, 1).gcd(field.one) == [K.one]
+        assert PlaneSlices([], 0, 1, field).gcd(field.one) is None

@@ -4,12 +4,12 @@ import time
 import pytest
 
 import fixtures
-from gonalift import pointsearch, upoly, verify
+from gonalift import upoly, verify
 from gonalift.errors import InputError, SingularPoint
 from gonalift.ff import FqField, flat_extension
 from gonalift.lift3 import Genus3Input, lift_genus3
 from gonalift.linalg import det
-from gonalift.mpoly import MPoly, PolyRing, derivative
+from gonalift.mpoly import MPoly, PlaneSlices, PolyRing, derivative
 from gonalift.pointsearch import (
     PointStream,
     ProjPoint,
@@ -167,13 +167,13 @@ def test_sample_curve_points_solves_each_slice_once(monkeypatch):
     want = set(points_on_plane_curve(f))
     assert len(want) < 25
     calls = []
-    real = pointsearch._solve_slice
+    real = PlaneSlices.roots
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pointsearch, "_solve_slice", counting)
+    monkeypatch.setattr(PlaneSlices, "roots", counting)
     t0 = time.perf_counter()
     got = sample_curve_points([f], 25, random.Random(0))
     assert time.perf_counter() - t0 < 3.0

@@ -4,8 +4,8 @@ A short sweep (3 runs per family, over F_31, F_37 and F_25) must print,
 for every family, a union of Newton polygons that lies inside the frozen
 entry of ``_derived_polygons.DERIVED``: a smaller sweep can only see less.
 Two runs of the output dumper with one seed must print the same JSON lines,
-each with a sparse quartic's verdicts, the last of them the genus-6 report's
-replayed model and samples.
+each with tangent contacts and a sparse quartic's verdicts, the last of them
+the genus-6 report's replayed model and samples.
 """
 
 import ast
@@ -47,8 +47,14 @@ def test_dump_outputs_is_reproducible_json():
     assert len(lines) == 3
     for line in lines:
         assert set(line) == {"quartic", "classify", "sample_birational", "report",
-                             "points", "toric", "sparse"}
+                             "points", "contact", "toric", "sparse"}
         assert set(line["sparse"]) == {"quartic", "smooth", "failures"}
+        # a smooth quartic's tangent meets it with multiplicity 2 to 4 at the
+        # point, and a rational point Q other than it is one of its points
+        assert len(line["contact"]) == min(3, len(line["points"]))
+        for mult, others in line["contact"]:
+            assert 2 <= mult <= 4 and mult + sum(m for _, m in others) <= 4
+            assert all(q in line["points"] for q, _ in others)
         assert line["report"]["checks"]["sample_birational"] == \
             line["sample_birational"]["status"]
     # the genus-6 report: its trail replays to the plane model and carries points

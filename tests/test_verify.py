@@ -670,3 +670,27 @@ def test_common_zero_decisions_build_no_field(monkeypatch):
     assert plane_curve_is_smooth(F)
     assert not check_nondegenerate((Y - 1) * (Y + 2 - X**2)).ok  # x^2 = 3 over F_7
     assert fields == {F127, F7}
+
+
+def test_eliminant_factors_share_one_set_of_slices(monkeypatch):
+    # the system's slice rows are built once, after the eliminant is
+    # factored, and every irreducible factor reduces those same rows
+    factors, rows_of = [], []
+    factor, slice_rows = upoly.factor, mpoly.slice_rows
+
+    def counted_factor(field, a):
+        out = factor(field, a)
+        factors.append(out[1])
+        return out
+
+    def counted_rows(f, u, v):
+        if factors:
+            rows_of.append(f)
+        return slice_rows(f, u, v)
+
+    monkeypatch.setattr(upoly, "factor", counted_factor)
+    monkeypatch.setattr(mpoly, "slice_rows", counted_rows)
+    f = Y**3 + X**3 * Y + X + 1
+    assert check_nondegenerate(f).ok
+    assert len(factors) == 1 and len(factors[0]) >= 2
+    assert rows_of == [f, mpoly.derivative(f, 0), mpoly.derivative(f, 1)]

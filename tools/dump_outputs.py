@@ -4,8 +4,10 @@ Usage: python3 tools/dump_outputs.py --field P[,N] --count K --seed S
 
 For each of K seeded random smooth quartics over F_{P^N} (N = 1 when
 left out) the line holds the quartic, its points in canonical order
-(``points_on_plane_curve``, as ``key()`` tuples), the
-``classify_gonality3`` result, the ``sample_birational`` dict,
+(``points_on_plane_curve``, as ``key()`` tuples), under ``contact`` the
+``tangent_contact`` of its first 3 points (the multiplicity at the point,
+then ``[Q.key(), m]`` for each other rational point Q of the tangent),
+the ``classify_gonality3`` result, the ``sample_birational`` dict,
 ``LiftReport.to_json()`` after ``run_checks``, and ``toric``: the
 ``toric_point_count`` of the reduced lift when ``nondegenerate``
 passes, else null.  Under ``sparse`` the line also holds a seeded quartic
@@ -39,7 +41,7 @@ import g6_fixture
 from derive_polygons import random_smooth_quartic
 from gonalift import ff, lift3, verify
 from gonalift.mpoly import PolyRing, dehomogenize
-from gonalift.pointsearch import points_on_plane_curve
+from gonalift.pointsearch import points_on_plane_curve, tangent_contact
 
 
 def sparse_quartic(ring, rng):
@@ -71,8 +73,13 @@ def dump(field, count, seed, out):
         checks = verify.run_checks(report)
         toric = (verify.toric_point_count(report.reduction(), 1)
                  if checks["nondegenerate"] == "pass" else None)
+        points = points_on_plane_curve(F)
+        contact = []
+        for P in points[:3]:
+            mult, others = tangent_contact(F, P)
+            contact.append([mult, [[Q.key(), m] for Q, m in others]])
         line = {"quartic": F.to_dict(), "classify": cls,
-                "points": [p.key() for p in points_on_plane_curve(F)],
+                "points": [p.key() for p in points], "contact": contact,
                 "sample_birational": sampled, "report": report.to_json(),
                 "toric": toric, "sparse": sparse}
         out.write(json.dumps(line, sort_keys=True) + "\n")
