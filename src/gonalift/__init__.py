@@ -8,12 +8,10 @@ Newton-polygon combinatorics and sampling.
 
 __version__ = "0.1.0"
 
-from .ff import FqField, FqElement, chi2, sqrt
+from .ff import FqField, FqElement
 
 __all__ = [
     "FqField",
     "FqElement",
-    "chi2",
-    "sqrt",
     "__version__",
 ]

@@ -34,10 +34,6 @@ class SingularPoint(GonaliftError):
     """Tangent data requested at a point with vanishing gradient."""
 
 
-class NoSecondRationalPoint(GonaliftError):
-    """No tried tangent line meets the curve in a second rational point."""
-
-
 class VerticalTangent(GonaliftError):
     """A transformed plane model missed its promised y-degree or support."""
 

@@ -12,10 +12,6 @@ isomorphisms between finite fields", Math. Comp. 1991); the map is built
 once per pair of fields.  ``FqField.element`` and ``embed`` apply it on
 request.  Arithmetic and ``==`` coerce only ints and elements of the
 prime field, so elements that compare equal hash alike.
-
-A square root over F_p is ``upoly._sqrt_mod``'s, on ints; over F_{p^n}
-with n > 1 it is the first root of x^2 - a in the enumeration order,
-from ``upoly.roots``.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import operator
 from . import upoly
 # int lists mod p: the prime-field kernel of upoly, which also does the
 # arithmetic of prime-power fields here and tests their moduli
-from .upoly import _sqrt_mod, _v_irreducible, _vmul, _vrem, _vtrim, _vxgcd
+from .upoly import _v_irreducible, _vmul, _vrem, _vtrim, _vxgcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -206,8 +202,8 @@ class FqField:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
             modulus = _smallest_irreducible(p, n)
-        modulus = [c % p for c in modulus]
-        if len(_vtrim(modulus)) != n + 1 or modulus[n] != 1:
+        modulus = _vtrim([c % p for c in modulus])
+        if len(modulus) != n + 1 or modulus[n] != 1:
             raise ValueError("modulus must be monic of degree n")
         if not _v_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible mod p")
@@ -266,10 +262,6 @@ class FqField:
     def embed(self, a):
         """An element of a subfield (or an int) as an element here; see ``element``."""
         return self.element(a)
-
-    def frobenius(self, x):
-        """The absolute Frobenius x -> x^p; the identity exactly when n = 1."""
-        return self.element(x) ** self.p
 
     def element_at(self, i):
         """i-th element in the canonical enumeration, 0 <= i < q."""
@@ -338,19 +330,6 @@ class FqField:
         out = [c * inv % self.p for c in u]
         return tuple(out) + (0,) * (self.n - len(out))
 
-    # -- character and square roots
-
-    def chi2(self, a):
-        return _chi2(self, self.element(a))
-
-    def sqrt(self, a):
-        a = self.element(a)
-        if self.n == 1:
-            r = _sqrt_mod(a.coeffs[0], self.p)
-            return None if r is None else self.element(r)
-        roots = upoly.roots(self, [-a, self.zero, self.one])
-        return roots[0] if roots else None
-
 
 @functools.lru_cache(maxsize=256)
 def _embedding(small, big):
@@ -388,24 +367,3 @@ def _flat_field(p, n):
 # this name: it is the flat F_{5^4}.
 FqExtField = flat_extension
 
-
-def _chi2(field, a):
-    """Quadratic character: 0 on zero, +1 on nonzero squares, -1 otherwise."""
-    if not a:
-        return 0
-    r = a ** ((field.q - 1) // 2)
-    if r == field.one:
-        return 1
-    if r == -field.one:
-        return -1
-    raise ArithmeticError("chi2 landed outside {0, 1, -1} (field corrupted)")
-
-
-def chi2(a):
-    """Quadratic character of a field element."""
-    return a.field.chi2(a)
-
-
-def sqrt(a):
-    """Square root of a field element, or None when none exists."""
-    return a.field.sqrt(a)

@@ -22,10 +22,10 @@ the support of the model.  Routes, from plainest to most special:
 * ``hyperflex``   total tangent contact at P                  -> g3_hyperflex
 
 ``two_point`` is the default; it needs the tangent at P to meet the
-curve again rationally, retries over fresh points when it does not, and
-finally falls back to ``tangent``.  The points P come from a seeded
-``pointsearch.PointStream``, which solves slices of the curve only as
-points are tried, so a lift costs a few slices on any field.  The
+curve again rationally, retries over up to ``ATTEMPTS`` points when it
+does not, and finally falls back to ``tangent``.  The points P come from
+a seeded ``pointsearch.PointStream``, which solves slices of the curve
+only as points are tried, so a lift costs a few slices on any field.  The
 flex/bitangent/hyperflex routes only run on request: they are
 worthwhile for point counting but scan every rational point of the
 curve to find their special configuration.
@@ -36,8 +36,7 @@ from __future__ import annotations
 import random
 
 from . import mpoly, ok, pointsearch, polygon, verify
-from .errors import (InputError, NoSecondRationalPoint, UnsupportedInput,
-                     VerticalTangent)
+from .errors import InputError, UnsupportedInput, VerticalTangent
 from .mpoly import MPoly, PolyRing
 from .pointsearch import ProjPoint
 
@@ -50,6 +49,9 @@ ROUTE_TARGETS = {
     "bitangent": "g3_bitangent",
     "hyperflex": "g3_hyperflex",
 }
+
+#: points P tried per route before it falls back or gives up
+ATTEMPTS = 32
 
 
 class Genus3Input:
@@ -202,29 +204,25 @@ def _try_special(F, optimize):
     return None
 
 
-def _tries(pool, attempts):
-    """The first ``attempts`` points of the stream, found as they are used."""
-    for i in range(attempts):
+def _tries(pool):
+    """The first ``ATTEMPTS`` points of the stream, found as they are used."""
+    for i in range(ATTEMPTS):
         p = pool.point(i)
         if p is None:
             return
         yield p
 
 
-def _build_model(F, optimize, pool, attempts, fallback, notes):
+def _build_model(F, optimize, pool, notes):
     if optimize in ("flex", "bitangent", "hyperflex"):
         got = _try_special(F, optimize)
         if got is not None:
             return got
-        if not fallback:
-            raise NoSecondRationalPoint(f"no usable {optimize} on the curve")
         notes.append(f"no usable {optimize}; using the default route")
         optimize = "two_point"
     last = None
     if optimize == "two_point":
-        tried = 0
-        for p in _tries(pool, attempts):
-            tried += 1
+        for p in _tries(pool):
             _mult, others = pointsearch.tangent_contact(F, p)
             if not others:
                 continue
@@ -232,14 +230,10 @@ def _build_model(F, optimize, pool, attempts, fallback, notes):
                 return _verified_model(F, "two_point", p, _second_points(others)[0])
             except VerticalTangent as err:
                 last = err
-        if not fallback:
-            raise NoSecondRationalPoint(
-                f"no second rational tangent point among {tried}"
-                " choices of P")
         notes.append("no second rational tangent point; "
                      "fell back to the tangent-only route")
         optimize = "tangent"
-    for p in _tries(pool, attempts):
+    for p in _tries(pool):
         try:
             return _verified_model(F, optimize, p, None)
         except VerticalTangent as err:
@@ -248,8 +242,8 @@ def _build_model(F, optimize, pool, attempts, fallback, notes):
         "every placement attempt failed")
 
 
-def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
-                attempts=32, fallback=True) -> verify.LiftReport:
+def lift_genus3(C: Genus3Input, order=None, optimize="two_point",
+                seed=0) -> verify.LiftReport:
     """Lift the quartic to the order with genus and gonality preserved.
 
     The report's model reduces mod p to the transformed input exactly
@@ -258,9 +252,9 @@ def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
     polygon, whose interior realizes the genus bound.  The points P are
     drawn with ``random.Random(seed)``, so the report's seed reproduces it.
 
-    ``attempts`` bounds how many points P are tried before the two-point
-    route gives up; with ``fallback=False`` exhaustion raises
-    NoSecondRationalPoint instead of degrading to the tangent route.
+    A route that finds no usable placement falls back, and says so in the
+    notes: flex, bitangent and hyperflex to ``two_point``, and
+    ``two_point`` after ``ATTEMPTS`` points to ``tangent``.
     """
     if optimize not in ROUTE_TARGETS:
         raise InputError(f"unknown optimization {optimize!r}")
@@ -274,8 +268,7 @@ def lift_genus3(C: Genus3Input, order=None, optimize="two_point", seed=None,
     pool = pointsearch.PointStream(F, random.Random(seed))
     if pool.point(0) is not None:
         gamma = 3
-        fbar, change, route = _build_model(F, optimize, pool, attempts,
-                                           fallback, notes)
+        fbar, change, route = _build_model(F, optimize, pool, notes)
         trail = [verify.linear_step(change), verify.dehomog_step("Z"),
                  verify.project_step(("X", "Y"), ("x", "y"))]
     else:

@@ -29,16 +29,6 @@ def mat_mul(rows_a, rows_b):
     return out
 
 
-def mat_vec(rows, vec):
-    out = []
-    for row in rows:
-        acc = row[0] * vec[0]
-        for k in range(1, len(vec)):
-            acc = acc + row[k] * vec[k]
-        out.append(acc)
-    return out
-
-
 def rref(field, rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     m = [list(r) for r in rows]
@@ -64,10 +54,6 @@ def rref(field, rows):
     return m, pivots
 
 
-def rank(field, rows):
-    return len(rref(field, rows)[1])
-
-
 def inverse(field, rows):
     """Matrix inverse over a field; raises SingularMatrix."""
     k = len(rows)
@@ -76,19 +62,6 @@ def inverse(field, rows):
     if pivots[:k] != list(range(k)):
         raise SingularMatrix("matrix is not invertible")
     return [row[k:] for row in red]
-
-
-def solve(field, rows, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    ncols = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return x
 
 
 def kernel_basis(field, rows):

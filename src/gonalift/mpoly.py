@@ -65,15 +65,6 @@ class PolyRing:
     def gens(self):
         return [self.variable(i) for i in range(self.nvars)]
 
-    def monomial(self, exps, c=1):
-        c = self.coeff_ring.element(c)
-        if not c:
-            return self.zero()
-        e = tuple(int(x) for x in exps)
-        if len(e) != self.nvars or any(x < 0 for x in e):
-            raise InputError(f"bad exponent vector {e}")
-        return MPoly(self, {e: c})
-
     def from_terms(self, term_iter):
         terms = {}
         for e, c in term_iter:
@@ -395,7 +386,7 @@ class LinearChange:
     A*B: (B applied after A) f = f((A*B)X).
     """
 
-    __slots__ = ("coeff_ring", "rows", "_det")
+    __slots__ = ("coeff_ring", "rows")
 
     def __init__(self, coeff_ring, rows):
         self.coeff_ring = coeff_ring
@@ -403,16 +394,12 @@ class LinearChange:
         k = len(self.rows)
         if any(len(row) != k for row in self.rows):
             raise InputError("matrix must be square")
-        self._det = linalg.det(self.rows, coeff_ring.zero, coeff_ring.one)
-        if not self._det:
+        if not linalg.det(self.rows, coeff_ring.zero, coeff_ring.one):
             raise linalg.SingularMatrix("linear change is singular")
 
     @property
     def size(self):
         return len(self.rows)
-
-    def det(self):
-        return self._det
 
     def apply(self, f):
         if f.ring.nvars != self.size:
@@ -613,32 +600,22 @@ def _sylvester_rows(fc, gc, zero):
     return rows
 
 
-def _sylvester_coeffs(f, g, var, formal_degs):
-    """Coefficients of f and g in ``var``, little-endian, at the formal degrees."""
+def _sylvester_coeffs(f, g, var):
+    """Coefficients of f and g in ``var``, little-endian."""
     if not f or not g:
         raise ZeroInput("resultant of a zero polynomial")
     df, dg = f.degree_in(var), g.degree_in(var)
-    if formal_degs is not None:
-        fdf, fdg = formal_degs
-        if fdf < df or fdg < dg:
-            raise InputError("formal degree below the actual degree")
-        df, dg = fdf, fdg
     return ([f.coeff_of(var, k) for k in range(df + 1)],
             [g.coeff_of(var, k) for k in range(dg + 1)])
 
 
-def sylvester_matrix(f, g, var, formal_degs=None):
-    fc, gc = _sylvester_coeffs(f, g, var, formal_degs)
+def sylvester_matrix(f, g, var):
+    fc, gc = _sylvester_coeffs(f, g, var)
     return _sylvester_rows(fc, gc, f.ring.zero())
 
 
-def resultant(f, g, var, formal_degs=None):
+def resultant(f, g, var):
     """Sylvester determinant with respect to one variable.
-
-    With ``formal_degs=(df, dg)`` the matrix is built at the stated
-    degrees even if leading coefficients vanish; this keeps the result a
-    universal polynomial in the inputs' coefficients, so it commutes
-    with any coefficient homomorphism (reduction mod p in particular).
 
     Over a field, when f and g together involve at most one variable u
     besides ``var``, the entries are univariate in u and the determinant
@@ -646,7 +623,7 @@ def resultant(f, g, var, formal_degs=None):
     Otherwise (more variables, or a coefficient ring without division
     such as the order) it is the division-free ``linalg.det``.
     """
-    fc, gc = _sylvester_coeffs(f, g, var, formal_degs)
+    fc, gc = _sylvester_coeffs(f, g, var)
     ring = f.ring
     others = {i for h in fc + gc for e in h.terms for i, k in enumerate(e) if k}
     if len(others) > 1 or not getattr(ring.coeff_ring, "is_field", False):

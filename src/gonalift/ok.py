@@ -176,16 +176,6 @@ class OkRing:
         x = self.element(x)
         return self.field.element([c % self.p for c in x.coeffs])
 
-    def naive_lift(self, xbar, symmetric=False) -> OkElement:
-        """Canonical coefficient lift, residues in [0, p) (or symmetric ones)."""
-        xbar = self.field.element(xbar)
-        if symmetric:
-            half = self.p // 2
-            coeffs = tuple(c - self.p if c > half else c for c in xbar.coeffs)
-        else:
-            coeffs = tuple(xbar.coeffs)
-        return OkElement(self, coeffs)
-
-
-def reduce_mod_p(x: OkElement) -> FqElement:
-    return x.ring.reduce_mod_p(x)
+    def naive_lift(self, xbar) -> OkElement:
+        """Canonical coefficient lift, residues in [0, p)."""
+        return OkElement(self, self.field.element(xbar).coeffs)

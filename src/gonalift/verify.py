@@ -257,19 +257,18 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
 # point counts of the smooth toric compactification
 
 
-def toric_point_count(fbar: MPoly, k: int = 1, cert: Nondegeneracy = None) -> int:
+def toric_point_count(fbar: MPoly, k: int = 1) -> int:
     """#C(F_{q^k}) for the smooth toric model attached to the polygon.
 
     Torus solutions are counted slice by slice through gcds with
     y^(Q-1) - 1; each edge contributes the roots of its edge polynomial
-    in the one-torus.  Requires a nondegeneracy certificate (computed on
-    the spot when not supplied) and q^k at desk scale.
+    in the one-torus.  Requires fbar to be nondegenerate, which it
+    checks first, and q^k at desk scale.
     """
     if k < 1:
         raise InputError("extension degree must be positive")
     field = fbar.ring.coeff_ring
-    if cert is None:
-        cert = check_nondegenerate(fbar)
+    cert = check_nondegenerate(fbar)
     if not cert.ok:
         raise DegenerateModel(f"model is degenerate: {cert.failures[:1]}")
     if field.q ** k > 2 ** 24:

@@ -1,8 +1,23 @@
 """Shared random-curve generators for the lifting tests."""
 
+import random
+
 from gonalift import linalg, verify
-from gonalift.mpoly import LinearChange
+from gonalift.ff import FqField
+from gonalift.lift3 import Genus3Input, lift_genus3
+from gonalift.mpoly import LinearChange, PolyRing
 from gonalift.pointsearch import ProjPoint
+
+#: coefficient pins that give a quartic each special route's configuration
+#: at (0:1:0): an ordinary flex, a bitangent, a hyperflex
+SPECIAL_PINS = {
+    "flex": {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
+             (2, 2, 0): 0, (3, 1, 0): "nonzero", (4, 0, 0): 0},
+    "bitangent": {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
+                  (2, 2, 0): "nonzero", (3, 1, 0): 0, (4, 0, 0): 0},
+    "hyperflex": {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
+                  (2, 2, 0): 0, (3, 1, 0): 0, (4, 0, 0): "nonzero"},
+}
 
 
 def random_quartic(ring, rng, forced=None):
@@ -51,3 +66,22 @@ def transported(change, coords):
     inv = linalg.inverse(field, change.rows)
     return ProjPoint(field, [sum((a * x for a, x in zip(row, coords)),
                                  field.zero) for row in inv])
+
+
+def scrambled_special(field, forced, seed):
+    """A smooth quartic with the pins ``forced``, in random coordinates."""
+    rng = random.Random(seed)
+    F = random_smooth_quartic(PolyRing(field, ("X", "Y", "Z")), rng, forced)
+    return random_scramble(field, rng).apply(F)
+
+
+def hyperflex_fallback():
+    """The lift of the first seeded F_13 quartic whose hyperflex request falls back."""
+    ring = PolyRing(FqField(13), ("X", "Y", "Z"))
+    rng = random.Random(41)
+    for _ in range(10):
+        C = Genus3Input(random_smooth_quartic(ring, rng), check=False)
+        rep = lift_genus3(C, optimize="hyperflex", seed=1)
+        if any("no usable hyperflex" in n for n in rep.notes):
+            return rep
+    raise AssertionError("every sampled curve had a rational hyperflex")

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from gonalift import polygon, verify
-from gonalift.errors import (InputError, NoSecondRationalPoint,
-                             UnsupportedInput, VerticalTangent)
+from gonalift import lift3, polygon, verify
+from gonalift.errors import InputError, UnsupportedInput, VerticalTangent
 from gonalift.ff import FqField
 from gonalift.lift3 import (Genus3Input, ROUTE_TARGETS, classify_gonality3,
                             lift_genus3)
@@ -159,6 +158,8 @@ def test_lift_deterministic_reports():
         json.dumps(b.to_json(), sort_keys=True)
     c = lift_genus3(C, seed=78)
     assert c.to_json()["seed"] == 78
+    # the default seed is a fixed one, so a default lift reproduces too
+    assert lift_genus3(C).to_json() == lift_genus3(C, seed=0).to_json()
 
 
 def test_lift_respects_supplied_order():
@@ -212,48 +213,19 @@ def test_lift_over_prime_power_fields(pn, seed):
 # -- special-configuration routes
 
 
-def _scrambled_special(route, forced, seed, field=F31):
-    ring = PolyRing(field, ("X", "Y", "Z"))
-    rng = random.Random(seed)
-    F = fixtures.random_smooth_quartic(ring, rng, forced)
-    change = fixtures.random_scramble(field, rng)
-    return Genus3Input(change.apply(F), check=False)
-
-
-FLEX_PINS = {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
-             (2, 2, 0): 0, (3, 1, 0): "nonzero", (4, 0, 0): 0}
-BITANGENT_PINS = {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
-                  (2, 2, 0): "nonzero", (3, 1, 0): 0, (4, 0, 0): 0}
-HYPERFLEX_PINS = {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
-                  (2, 2, 0): 0, (3, 1, 0): 0, (4, 0, 0): "nonzero"}
-
-
-@pytest.mark.parametrize("route,pins", [
-    ("flex", FLEX_PINS),
-    ("bitangent", BITANGENT_PINS),
-    ("hyperflex", HYPERFLEX_PINS),
-])
+@pytest.mark.parametrize("route,pins", fixtures.SPECIAL_PINS.items())
 def test_lift_special_routes(route, pins):
-    C = _scrambled_special(route, pins, seed=101)
-    rep = lift_genus3(C, optimize=route, seed=3, fallback=False)
+    C = Genus3Input(fixtures.scrambled_special(F31, pins, 101), check=False)
+    rep = lift_genus3(C, optimize=route, seed=3)
+    # a route that fell back would carry the default route's target
     assert rep.target == ROUTE_TARGETS[route]
     _full_check(rep)
 
 
 def test_special_route_fallback_note():
     # a curve without rational hyperflexes degrades to the default route
-    rng = random.Random(41)
-    for _ in range(10):
-        F = fixtures.random_smooth_quartic(R13, rng)
-        C = Genus3Input(F, check=False)
-        try:
-            lift_genus3(C, optimize="hyperflex", seed=1, fallback=False)
-        except NoSecondRationalPoint:
-            rep = lift_genus3(C, optimize="hyperflex", seed=1)
-            assert any("no usable hyperflex" in n for n in rep.notes)
-            assert rep.target in ("g3_two_point", "g3_tangent")
-            return
-    raise AssertionError("every sampled curve had a rational hyperflex")
+    rep = fixtures.hyperflex_fallback()
+    assert rep.target in ("g3_two_point", "g3_tangent")
 
 
 def test_special_route_large_field_refused():
@@ -266,13 +238,11 @@ def test_special_route_large_field_refused():
 # -- failure modes of the placement machinery
 
 
-def test_two_point_budget_exhaustion():
-    C = Genus3Input(fermat(R13))
-    with pytest.raises(NoSecondRationalPoint):
-        lift_genus3(C, optimize="two_point", attempts=0, fallback=False)
+def test_two_point_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(lift3, "ATTEMPTS", 0)
     with pytest.raises(VerticalTangent):
-        # fallback also runs out of attempts
-        lift_genus3(C, optimize="two_point", attempts=0)
+        # the tangent route it falls back to also runs out of attempts
+        lift_genus3(Genus3Input(fermat(R13)), optimize="two_point")
 
 
 def test_vertical_tangent_on_corrupt_input():

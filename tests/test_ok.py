@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gonalift.ff import FqField
-from gonalift.ok import OkRing, reduce_mod_p
+from gonalift.ok import OkRing
 
 
 def test_construction_requires_inert_p():
@@ -58,16 +58,6 @@ def test_naive_lift_is_section():
             assert ring.reduce_mod_p(x) == xbar
 
 
-def test_symmetric_lift():
-    field = FqField(7)
-    ring = OkRing.for_field(field)
-    lifts = [ring.naive_lift(field.element(i), symmetric=True).coeffs[0] for i in range(7)]
-    assert lifts == [0, 1, 2, 3, -3, -2, -1]
-    for i in range(7):
-        assert ring.reduce_mod_p(ring.naive_lift(field.element(i), symmetric=True)) \
-            == field.element(i)
-
-
 def test_no_division_in_ok():
     ring = OkRing(7, [0, 1])
     x = ring.element(3)
@@ -75,9 +65,3 @@ def test_no_division_in_ok():
         x / x
     with pytest.raises(TypeError):
         x ** -1
-
-
-def test_module_level_reduce():
-    ring = OkRing(7, [1, 0, 1])
-    x = ring.element([15, 8])
-    assert reduce_mod_p(x) == ring.field.element([1, 1])

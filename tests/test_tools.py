@@ -4,8 +4,9 @@ A short sweep (3 runs per family, over F_31, F_37 and F_25) must print,
 for every family, a union of Newton polygons that lies inside the frozen
 entry of ``_derived_polygons.DERIVED``: a smaller sweep can only see less.
 Two runs of the output dumper with one seed must print the same JSON lines,
-each with tangent contacts and a sparse quartic's verdicts, the last of them
-the genus-6 report's replayed model and samples.
+each with tangent contacts and a sparse quartic's verdicts, then the
+genus-6 report's replayed model and samples, and last the reports of every
+special route and of a fallback.
 """
 
 import ast
@@ -18,6 +19,7 @@ import sys
 import g6_fixture as g6
 from gonalift import polygon
 from gonalift._derived_polygons import DERIVED
+from gonalift.lift3 import ROUTE_TARGETS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNION = re.compile(r"^(\w+): union (\[.*\]) over \d+ runs, interior 3$", re.M)
@@ -43,7 +45,7 @@ def test_dump_outputs_is_reproducible_json():
     for out in runs:
         assert out.returncode == 0, out.stdout + out.stderr
     assert runs[0].stdout == runs[1].stdout
-    *lines, last = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    *lines, last, routes = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) == 3
     for line in lines:
         assert set(line) == {"quartic", "classify", "sample_birational", "report",
@@ -62,3 +64,14 @@ def test_dump_outputs_is_reproducible_json():
     assert last["g6"]["replayed"] == g6.plane_model().to_dict()
     assert last["g6"]["sample_birational"]["status"] == "pass"
     assert last["g6"]["sample_birational"]["defined"] > 0
+    # each pinned quartic takes its own route and the two explicit ones;
+    # the fallback says so in its notes
+    assert set(routes) == {"routes"}
+    routes = routes["routes"]
+    assert set(routes) == {"flex", "bitangent", "hyperflex", "fallback"}
+    for special in ("flex", "bitangent", "hyperflex"):
+        assert set(routes[special]) == {special, "none", "tangent"}
+        for route, report in routes[special].items():
+            assert report["target"]["name"] == ROUTE_TARGETS[route]
+            assert set(report["checks"].values()) == {"pass"}
+    assert any("no usable hyperflex" in n for n in routes["fallback"]["notes"])

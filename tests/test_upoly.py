@@ -103,7 +103,7 @@ def test_roots_and_count_roots():
             # multiply by an irreducible quadratic to add root-free content
             nonsq = None
             for i in range(1, field.q):
-                if field.chi2(field.element_at(i)) == -1:
+                if field.element_at(i) ** ((field.q - 1) // 2) == -field.one:
                     nonsq = field.element_at(i)
                     break
             a = upoly.mul(field, a, [-nonsq, field.zero, field.one])
@@ -223,7 +223,7 @@ def test_factor_over_fp2_splits_rational_roots_and_a_conjugate_pair():
     field = FqField(1009, 2)
     r = field.element_at(5 * 1009 + 3)  # outside F_1009
     a = [field.one]
-    for root in (field.element(1), field.element(2), r, field.frobenius(r)):
+    for root in (field.element(1), field.element(2), r, r ** 1009):
         a = upoly.mul(field, a, [-root, field.one])
     t0 = time.perf_counter()
     unit, pieces = upoly.factor(field, a)
@@ -231,7 +231,7 @@ def test_factor_over_fp2_splits_rational_roots_and_a_conjugate_pair():
     assert unit == field.one
     assert sorted(field.index_of(-g[0]) for g, m in pieces if m == 1 and len(g) == 2) \
         == sorted(field.index_of(c) for c in (field.element(1), field.element(2),
-                                              r, field.frobenius(r)))
+                                              r, r ** 1009))
     assert len(pieces) == 4
 
 

@@ -18,7 +18,13 @@ verdicts are compared too.  The library defaults hold throughout.  A last
 line, ``{"g6": ...}``, holds the genus-6 report of ``tests/g6_fixture.py``:
 its trail replayed on the canonical ideal (``replay_mod_p``) and its
 ``sample_birational`` dict with 6 samples, which takes points through
-the ``linear``, ``substitute``, ``select`` and ``gcd`` steps.  Two trees
+the ``linear``, ``substitute``, ``select`` and ``gcd`` steps.  The very
+last line, ``{"routes": ...}``, covers the routes that seeded quartics
+rarely take: for each pinned quartic of ``tests/fixtures.py`` (F_31,
+seed 101) the ``LiftReport.to_json()`` after ``run_checks`` of its own
+route, of ``none`` and of ``tangent`` (lift seed 3), and under
+``fallback`` the report of the first seed-41 F_13 quartic whose
+``hyperflex`` request falls back to the default route.  Two trees
 of the repository give the same output exactly when their pipelines
 agree on these inputs, so a change that should not alter output is
 checked by running this script in both trees and comparing the files
@@ -37,6 +43,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
+import fixtures
 import g6_fixture
 from derive_polygons import random_smooth_quartic
 from gonalift import ff, lift3, verify
@@ -88,6 +95,24 @@ def dump(field, count, seed, out):
     line = {"g6": {"replayed": replayed.to_dict(),
                    "sample_birational": verify.sample_birational(report, samples=6)}}
     out.write(json.dumps(line, sort_keys=True) + "\n")
+    out.write(json.dumps({"routes": routes()}, sort_keys=True) + "\n")
+
+
+def routes():
+    """The special routes, the explicit ones and the fallback, as checked reports."""
+    field = ff.FqField(31)
+    out = {}
+    for special, pins in fixtures.SPECIAL_PINS.items():
+        C = lift3.Genus3Input(fixtures.scrambled_special(field, pins, 101))
+        out[special] = {}
+        for route in (special, "none", "tangent"):
+            report = lift3.lift_genus3(C, optimize=route, seed=3)
+            verify.run_checks(report)
+            out[special][route] = report.to_json()
+    report = fixtures.hyperflex_fallback()
+    verify.run_checks(report)
+    out["fallback"] = report.to_json()
+    return out
 
 
 def main(argv=None):
