@@ -3,8 +3,10 @@
 An ``MPoly`` stores a map from exponent tuples to nonzero coefficients
 and belongs to a ``PolyRing`` (coefficient ring plus variable names).
 Everything is immutable by convention and exact; the coefficient ring
-can be a finite field, the number-ring order, or plain integers, as
-long as its elements support ring arithmetic.
+can be a finite field or the number-ring order.  ``terms`` holds ring
+elements, but the arithmetic runs on the ring's scalar form
+(``_scalars``): coefficients are converted once on entry, and elements
+are built only for the result.
 
 The term order used for normalization, leading terms and printing is
 graded lexicographic, everywhere.
@@ -12,6 +14,7 @@ graded lexicographic, everywhere.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from . import linalg, upoly
@@ -53,9 +56,7 @@ class PolyRing:
 
     def constant(self, c):
         c = self.coeff_ring.element(c)
-        if not c:
-            return self.zero()
-        return MPoly(self, {(0,) * self.nvars: c})
+        return MPoly(self, {(0,) * self.nvars: c} if c else {})
 
     def variable(self, i):
         e = [0] * self.nvars
@@ -66,23 +67,13 @@ class PolyRing:
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, term_iter):
-        terms = {}
-        for e, c in term_iter:
-            c = self.coeff_ring.element(c)
-            e = tuple(int(x) for x in e)
+        K = _scalars(self.coeff_ring)
+        pairs = [(tuple(int(x) for x in e), K.to(self.coeff_ring.element(c)))
+                 for e, c in term_iter]
+        for e, _ in pairs:
             if len(e) != self.nvars or any(x < 0 for x in e):
                 raise InputError(f"bad exponent vector {e}")
-            if not c:
-                continue
-            if e in terms:
-                c = terms[e] + c
-                if c:
-                    terms[e] = c
-                else:
-                    del terms[e]
-            else:
-                terms[e] = c
-        return MPoly(self, terms)
+        return MPoly(self, K.terms(_collect(K, pairs)))
 
     def index_of_name(self, name):
         try:
@@ -91,11 +82,88 @@ class PolyRing:
             raise InputError(f"no variable named {name!r}") from None
 
 
-def _power(pw, k, mul=operator.mul):
-    """v^k from the power list pw = [None, v, v^2, ...], extended as needed."""
-    while len(pw) <= k:
-        pw.append(mul(pw[-1], pw[1]))
-    return pw[k]
+class _Scalars:
+    """A coefficient ring's scalar form, the one interface MPoly computes on.
+
+    Over F_p a scalar is an int, reduced mod p only by ``norm``, so once
+    at the end of an operation; over F_{p^n} with n > 1 it is the
+    coefficient tuple under the field's own ``_add`` and ``_mul``; over
+    the order it is the element itself.  ``to`` takes an element of the
+    ring, or of a subfield that embeds in it, to a scalar, and ``back``
+    a reduced scalar to an element.
+    """
+
+    __slots__ = ("ring", "to", "add", "mul", "norm", "back", "zero", "one", "_pad")
+
+    def __init__(self, ring):
+        self.ring, self.add, self.mul = ring, operator.add, operator.mul
+        if not getattr(ring, "is_field", False):
+            self.to = self.norm = self.back = lambda c: c
+            self.zero, self.one = ring.zero, ring.one
+        elif ring.n == 1:
+            self.to, self.norm = lambda c: c.coeffs[0], ring.p.__rmod__
+            self.back = lambda s: FqElement(ring, (s,))
+            self.zero, self.one = 0, 1
+        else:
+            self.to, self.norm = self._vector, lambda s: s
+            self.back = functools.partial(FqElement, ring)
+            self.add, self.mul = ring._add, ring._mul
+            self.zero, self.one = ring.zero.coeffs, ring.one.coeffs
+            self._pad = (0,) * (ring.n - 1)
+
+    def _vector(self, c):
+        if c.field is self.ring:
+            return c.coeffs
+        if c.field.n == 1 and c.field.p == self.ring.p:
+            return c.coeffs + self._pad  # the prime subfield, padded
+        return self.ring.element(c).coeffs
+
+    def reduce(self, d):
+        """The map of scalars d reduced, without its zeros."""
+        norm, zero = self.norm, self.zero
+        return {e: r for e, s in d.items() if (r := norm(s)) != zero}
+
+    def terms(self, d):
+        """The map of scalars d as MPoly terms."""
+        back = self.back
+        return {e: back(s) for e, s in self.reduce(d).items()}
+
+    def powers(self, x, k):
+        """[1, x, ..., x^k], reduced."""
+        pw = [self.one]
+        for _ in range(k):
+            pw.append(self.norm(self.mul(pw[-1], x)))
+        return pw
+
+
+#: id of a ring -> its scalar form, which keeps the ring, and so its id, alive
+_FORMS = {}
+
+
+def _scalars(ring):
+    """The scalar form of a coefficient ring, built once per ring object."""
+    form = _FORMS.get(id(ring))
+    if form is None:
+        if len(_FORMS) > 64:
+            _FORMS.clear()
+        form = _FORMS[id(ring)] = _Scalars(ring)
+    return form
+
+
+def _collect(K, pairs):
+    """The scalars of (exponent, scalar) pairs summed by exponent, unreduced."""
+    add = K.add
+    out = {}
+    for e, c in pairs:
+        out[e] = add(out[e], c) if e in out else c
+    return out
+
+
+def _product(K, a, b):
+    """The product of two maps of scalars, unreduced."""
+    mul, b = K.mul, list(b.items())
+    return _collect(K, ((tuple(map(operator.add, e1, e2)), mul(c1, c2))
+                        for e1, c1 in a.items() for e2, c2 in b))
 
 
 class MPoly:
@@ -153,14 +221,9 @@ class MPoly:
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
-            if other.ring == self.ring:
-                return other
-            return None
-        if isinstance(other, int):
+            return other if other.ring == self.ring else None
+        try:  # an int or a bare coefficient-ring element acts as a constant
             return self.ring.constant(other)
-        # a bare coefficient-ring element acts as a constant
-        try:
-            return self.ring.constant(self.ring.coeff_ring.element(other))
         except (ValueError, TypeError):
             return None
 
@@ -168,17 +231,9 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = c
-        return MPoly(self.ring, out)
+        K = _scalars(self.ring.coeff_ring)
+        return MPoly(self.ring, K.terms(_collect(K, ((e, K.to(c)) for f in (self, o)
+                                                     for e, c in f.terms.items()))))
 
     __radd__ = __add__
 
@@ -201,22 +256,11 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
-            return MPoly(self.ring, {})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    c = out[e] + c
-                    if c:
-                        out[e] = c
-                    else:
-                        del out[e]
-                elif c:
-                    out[e] = c
-        return MPoly(self.ring, out)
+        K = _scalars(self.ring.coeff_ring)
+        to = K.to
+        return MPoly(self.ring, K.terms(_product(
+            K, {e: to(c) for e, c in self.terms.items()},
+            {e: to(c) for e, c in o.terms.items()})))
 
     __rmul__ = __mul__
 
@@ -233,99 +277,81 @@ class MPoly:
         return result
 
     def scale(self, c):
-        c = self.ring.coeff_ring.element(c)
-        if not c:
-            return self.ring.zero()
-        return MPoly(self.ring, {e: x * c for e, x in self.terms.items()})
+        K = _scalars(self.ring.coeff_ring)
+        to, mul = K.to, K.mul
+        c = to(self.ring.coeff_ring.element(c))
+        return MPoly(self.ring, K.terms({e: mul(to(x), c) for e, x in self.terms.items()}))
 
     # -- views
 
     def coeff_of(self, var, k):
         """Coefficient of var^k, as a polynomial in the same ring."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[var] == k:
-                reduced = list(e)
-                reduced[var] = 0
-                out[tuple(reduced)] = c
-        return MPoly(self.ring, out)
+        return MPoly(self.ring, {e[:var] + (0,) + e[var + 1:]: c
+                                 for e, c in self.terms.items() if e[var] == k})
 
     def evaluate(self, values, into=None):
-        """Full evaluation in a field: ``into``, or the coefficient field.
+        """Full evaluation in ``into``, or in the coefficient ring.
 
-        Every value and coefficient is coerced into the field once, and the
-        sum is taken on coefficient vectors with the field's ``_mul`` and
-        ``_add``, so only the result becomes a field element.  The powers
-        of each value are built once per call, by repeated multiplication
-        up to the largest exponent a term asks for.  A curve restricted to
-        a parametrized line is ``substitute``'s.
+        Every value is coerced into that ring once, and the sum is taken
+        in its scalar form (``_scalars``): an int mod p over F_p, into
+        which each coefficient goes as it is; a coefficient tuple over
+        F_{p^n}, with an F_p coefficient padded straight into it.  Each
+        value's powers are built once, up to the largest exponent a term
+        asks for.  A curve restricted to a line is ``substitute``'s.
         """
         ring = into if into is not None else self.ring.coeff_ring
         if len(values) != self.ring.nvars:
             raise InputError("wrong number of values")
-        element, mul, add = ring.element, ring._mul, ring._add
-        powers = [[None, element(v).coeffs] for v in values]
-        acc = ring.zero.coeffs
+        K = _scalars(ring)
+        to, add, mul = K.to, K.add, K.mul
+        # an empty polynomial has no exponents, so no powers and no terms
+        powers = [K.powers(to(ring.element(v)), k)
+                  for v, k in zip(values, map(max, zip(*self.terms)))]
+        acc = K.zero
         for e, c in self.terms.items():
-            t = element(c).coeffs
-            for pw, ei in zip(powers, e):
-                if ei:
-                    t = mul(t, _power(pw, ei, mul))
+            t = to(c)
+            for pw, k in zip(powers, e):
+                if k:
+                    t = mul(t, pw[k])
             acc = add(acc, t)
-        return FqElement(ring, acc)
+        return K.back(K.norm(acc))
 
     def partial_eval(self, assignments):
         """Evaluate some variables; the result keeps the same ring."""
         ring = self.ring.coeff_ring
-        vals = {var: [None, ring.element(v)] for var, v in assignments.items()}
-        out = {}
-        for e, c in self.terms.items():
-            for var, pw in vals.items():
-                if e[var]:
-                    c = c * _power(pw, e[var])
-            if not c:
-                continue
-            ne = tuple(0 if i in vals else x for i, x in enumerate(e))
-            if ne in out:
-                c = out[ne] + c
-                if c:
-                    out[ne] = c
-                else:
-                    del out[ne]
-            else:
-                out[ne] = c
-        return MPoly(self.ring, out)
+        K = _scalars(ring)
+        to, mul = K.to, K.mul
+        powers = {var: K.powers(to(ring.element(v)), max(e[var] for e in self.terms))
+                  for var, v in assignments.items()} if self.terms else {}
+
+        def evaluated():
+            for e, c in self.terms.items():
+                t = to(c)
+                for var, pw in powers.items():
+                    if e[var]:
+                        t = mul(t, pw[e[var]])
+                yield tuple(0 if i in powers else x for i, x in enumerate(e)), t
+
+        return MPoly(self.ring, K.terms(_collect(K, evaluated())))
 
     def map_coefficients(self, fn, new_ring):
-        out = {}
-        for e, c in self.terms.items():
-            nc = fn(c)
-            if nc:
-                out[e] = nc
-        return MPoly(new_ring, out)
+        return MPoly(new_ring, {e: nc for e, c in self.terms.items() if (nc := fn(c))})
 
     # -- serialization and printing
 
     def to_dict(self):
-        terms = []
-        for e in sorted(self.terms, key=_glex_key, reverse=True):
-            c = self.terms[e]
-            terms.append({"e": list(e), "c": [int(x) for x in c.coeffs]})
-        return {"vars": list(self.ring.names), "terms": terms}
+        return {"vars": list(self.ring.names),
+                "terms": [{"e": list(e), "c": [int(x) for x in self.terms[e].coeffs]}
+                          for e in sorted(self.terms, key=_glex_key, reverse=True)]}
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms, key=_glex_key, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for name, k in zip(self.ring.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            cs = str(c)
+            factors = [name if k == 1 else f"{name}^{k}"
+                       for name, k in zip(self.ring.names, e) if k]
+            cs = str(self.terms[e])
             if not factors:
                 parts.append(cs)
             elif cs == "1":
@@ -355,28 +381,28 @@ def substitute(f, images):
     if len(images) != f.ring.nvars:
         raise InputError("one image per variable is required")
     target = images[0].ring
-    for im in images:
-        if im.ring != target:
-            raise InputError("images must share one ring")
-    maxes = [0] * f.ring.nvars
-    for e in f.terms:
-        for i, ei in enumerate(e):
-            if ei > maxes[i]:
-                maxes[i] = ei
+    if any(im.ring != target for im in images):
+        raise InputError("images must share one ring")
+    K = _scalars(target.coeff_ring)
+    to = K.to
+    unit = (0,) * target.nvars
     powers = []
-    for i, im in enumerate(images):
-        pows = [target.one()]
-        for _ in range(maxes[i]):
-            pows.append(pows[-1] * im)
-        powers.append(pows)
-    acc = target.zero()
-    for e, c in f.terms.items():
-        t = target.constant(c)
-        for i, ei in enumerate(e):
-            if ei:
-                t = t * powers[i][ei]
-        acc = acc + t
-    return acc
+    for im, k in zip(images, map(max, zip(*f.terms))):
+        im = {e: to(c) for e, c in im.terms.items()}
+        pw = [{unit: K.one}]
+        for _ in range(k):
+            pw.append(K.reduce(_product(K, pw[-1], im)))
+        powers.append(pw)
+
+    def expanded():
+        for e, c in f.terms.items():
+            t = {unit: to(c)}
+            for pw, k in zip(powers, e):
+                if k:
+                    t = K.reduce(_product(K, t, pw[k]))
+            yield from t.items()
+
+    return MPoly(target, K.terms(_collect(K, expanded())))
 
 
 class LinearChange:
@@ -406,15 +432,9 @@ class LinearChange:
             raise InputError("dimension mismatch")
         if f.ring.coeff_ring != self.coeff_ring:
             raise InputError("coefficient ring mismatch")
-        gens = f.ring.gens()
-        images = []
-        for row in self.rows:
-            im = f.ring.zero()
-            for a, g in zip(row, gens):
-                if a:
-                    im = im + g.scale(a)
-            images.append(im)
-        return substitute(f, images)
+        n = self.size
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return substitute(f, [f.ring.from_terms(zip(units, row)) for row in self.rows])
 
     def inverse(self):
         if not getattr(self.coeff_ring, "is_field", False):
@@ -440,18 +460,9 @@ def dehomogenize(f, var):
     """Set variable ``var`` to 1 and remove it from the ring."""
     names = f.ring.names[:var] + f.ring.names[var + 1:]
     ring = PolyRing(f.ring.coeff_ring, names)
-    out = {}
-    for e, c in f.terms.items():
-        ne = e[:var] + e[var + 1:]
-        if ne in out:
-            c = out[ne] + c
-            if c:
-                out[ne] = c
-            else:
-                del out[ne]
-        else:
-            out[ne] = c
-    return MPoly(ring, out)
+    K = _scalars(ring.coeff_ring)
+    return MPoly(ring, K.terms(_collect(K, ((e[:var] + e[var + 1:], K.to(c))
+                                            for e, c in f.terms.items()))))
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +615,7 @@ def _sylvester_coeffs(f, g, var):
     """Coefficients of f and g in ``var``, little-endian."""
     if not f or not g:
         raise ZeroInput("resultant of a zero polynomial")
-    df, dg = f.degree_in(var), g.degree_in(var)
-    return ([f.coeff_of(var, k) for k in range(df + 1)],
-            [g.coeff_of(var, k) for k in range(dg + 1)])
+    return tuple([h.coeff_of(var, k) for k in range(h.degree_in(var) + 1)] for h in (f, g))
 
 
 def sylvester_matrix(f, g, var):
@@ -649,12 +658,8 @@ def resultant(f, g, var):
 
 
 def _from_y_coeffs(K, ring, rows):
-    terms = {}
-    for j, row in enumerate(rows):
-        for i, c in enumerate(K.back(row)):
-            if c:
-                terms[(i, j)] = c
-    return MPoly(ring, terms)
+    return MPoly(ring, {(i, j): c for j, row in enumerate(rows)
+                        for i, c in enumerate(K.back(row)) if c})
 
 
 def _ycontent(K, rows):
@@ -772,23 +777,8 @@ def divide_exact(f, g):
 
 def derivative(f, var):
     ring = f.ring
-    out = {}
-    for e, c in f.terms.items():
-        k = e[var]
-        if not k:
-            continue
-        nc = c * ring.coeff_ring.element(k)
-        if not nc:
-            continue
-        ne = list(e)
-        ne[var] = k - 1
-        ne = tuple(ne)
-        if ne in out:
-            nc = out[ne] + nc
-            if nc:
-                out[ne] = nc
-            else:
-                del out[ne]
-        else:
-            out[ne] = nc
-    return MPoly(ring, out)
+    K = _scalars(ring.coeff_ring)
+    # the integer k as a scalar, for each exponent k of var
+    ks = [K.to(ring.coeff_ring.element(k)) for k in range(f.degree_in(var) + 1)]
+    return MPoly(ring, K.terms({e[:var] + (e[var] - 1,) + e[var + 1:]: K.mul(K.to(c), ks[e[var]])
+                                for e, c in f.terms.items() if e[var]}))

@@ -107,9 +107,9 @@ class OkRing:
         if not m or m[-1] != 1:
             raise ValueError("m must be monic over Z")
         n = len(m) - 1
-        # FqField construction validates p and irreducibility of m mod p,
-        # which is what makes p inert
-        self.field = FqField(p, n, [c % p for c in m])
+        # FqField construction validates p, before it reduces m mod p, and
+        # the irreducibility of m mod p, which is what makes p inert
+        self.field = FqField(p, n, m)
         self.p = p
         self.n = n
         self.m = tuple(m)

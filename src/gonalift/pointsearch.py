@@ -338,11 +338,7 @@ def tangent_line(f, p: ProjPoint):
     grads = [derivative(f, i).evaluate(list(p.coords)) for i in range(ring.nvars)]
     if not any(grads):
         raise SingularPoint("gradient vanishes; the point is singular")
-    gens = ring.gens()
-    out = ring.zero()
-    for g, x in zip(grads, gens):
-        out = out + x * g
-    return out
+    return sum((x.scale(g) for g, x in zip(grads, ring.gens())), ring.zero())
 
 
 def line_basis(line, p: ProjPoint):

@@ -22,6 +22,7 @@ violated preconditions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -454,16 +455,25 @@ def forward_point(coords, names, trail, L):
     coordinates in L, or None when some step is undefined at the point
     (vanishing denominator, projection center, and so on).
     """
-    return _transport(_read_trail(trail, PolyRing(L, names)), coords, L)
+    return _transport(_in_scalars(_read_trail(trail, PolyRing(L, names)), L), coords, L)
+
+
+def _in_scalars(steps, L):
+    """The read trail with each linear inverse in the scalar form of L, a field over F_q."""
+    K = mpoly._scalars(L)
+    return [(kind, K, [[K.to(a) for a in row] for row in data[1]])
+            if kind == "linear" else (kind, *data) for kind, *data in steps]
 
 
 def _transport(steps, coords, L):
-    """``forward_point`` on a read trail whose inverse rows lie in L."""
+    """``forward_point`` on a read trail in the scalar form of L (``_in_scalars``)."""
     coords = tuple(L.element(c) for c in coords)
     for kind, *data in steps:
         if kind == "linear":
-            coords = tuple(sum((a * x for a, x in zip(row, coords)), L.zero)
-                           for row in data[1])
+            K, rows = data
+            xs = [K.to(c) for c in coords]
+            coords = tuple(K.back(K.norm(functools.reduce(K.add, map(K.mul, row, xs))))
+                           for row in rows)
         elif kind == "substitute":
             if not data[1]:
                 return None  # no point map
@@ -577,8 +587,10 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    if rng is None:
-        rng = random.Random(report.seed if report.seed is not None else 0)
+    try:
+        rng = rng or random.Random(report.seed if report.seed is not None else 0)
+    except TypeError:
+        raise InputError(f"the report's seed {report.seed!r} seeds no generator") from None
     field = report.field
     ext = ff.flat_extension(field, 2)
     red = report.reduction()
@@ -595,12 +607,11 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
                 "reason": "NoSamplePoints"}
     defined = 0
     failures = []
-    steps = _read_trail(report.trail, report.input_gens[0].ring)
-    # the same reading with each linear inverse embedded into F_{q^2} once
-    ext_steps = [(kind, data[0], [[ext.element(a) for a in row] for row in data[1]])
-                 if kind == "linear" else (kind, *data) for kind, *data in steps]
+    read = _read_trail(report.trail, report.input_gens[0].ring)
+    # the one reading, with each linear inverse in the scalar form of F_q and F_{q^2}
+    steps = {L: _in_scalars(read, L) for L in (field, ext)}
     for coords, L in pool:
-        img = _transport(steps if L is field else ext_steps, coords, L)
+        img = _transport(steps[L], coords, L)
         if img is None:
             continue
         defined += 1

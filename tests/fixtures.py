@@ -19,6 +19,18 @@ SPECIAL_PINS = {
                   (2, 2, 0): 0, (3, 1, 0): 0, (4, 0, 0): "nonzero"},
 }
 
+#: a smooth plane quartic over F_3 with no F_3-rational point
+POINTLESS_QUARTIC_F3 = {
+    "vars": ["X", "Y", "Z"],
+    "terms": [
+        {"e": [4, 0, 0], "c": [2]}, {"e": [3, 0, 1], "c": [2]},
+        {"e": [2, 1, 1], "c": [2]}, {"e": [1, 3, 0], "c": [1]},
+        {"e": [1, 1, 2], "c": [2]}, {"e": [1, 0, 3], "c": [1]},
+        {"e": [0, 4, 0], "c": [1]}, {"e": [0, 2, 2], "c": [1]},
+        {"e": [0, 0, 4], "c": [2]},
+    ],
+}
+
 
 def random_quartic(ring, rng, forced=None):
     """Random homogeneous quartic; ``forced`` pins chosen coefficients.

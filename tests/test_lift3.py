@@ -15,7 +15,6 @@ from gonalift.mpoly import PolyRing, from_dict
 from gonalift.ok import OkRing
 from gonalift.pointsearch import ProjPoint, points_on_plane_curve
 from gonalift.verify import make_monic, overall_status, run_checks
-from test_pointsearch import POINTLESS_QUARTIC_F3
 
 F13 = FqField(13)
 F31 = FqField(31)
@@ -29,7 +28,7 @@ def fermat(ring):
 
 
 def pointless_f3():
-    return Genus3Input(from_dict(POINTLESS_QUARTIC_F3, FqField(3)))
+    return Genus3Input(from_dict(fixtures.POINTLESS_QUARTIC_F3, FqField(3)))
 
 
 # -- input validation

@@ -3,6 +3,8 @@ import time
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gonalift import linalg, mpoly, upoly
 from gonalift.errors import AllZero, InputError, SingularMatrix, ZeroInput
@@ -429,6 +431,45 @@ def test_partial_eval_and_evaluate():
         line = [tring.constant(rng.randrange(7)) + t * rng.randrange(7) for _ in range(3)]
         assert substitute(f, line) == by_powers(f, line, tring)
     assert R3.zero().evaluate([1, 2, 3], into=f49) == f49.zero
+
+
+#: one ring per scalar form: F_p, F_{p^2}, F_{p^3} (generic product), the order
+SCALAR_RINGS = {"F31": FqField(31), "F25": FqField(5, 2), "F27": FqField(3, 3),
+                "Ok": OkRing(5, [2, 0, 1])}
+
+
+def _any_element(ring, rng):
+    if isinstance(ring, OkRing):
+        return ring.element([rng.randrange(-40, 41) for _ in range(ring.n)])
+    return ring.element_at(rng.randrange(ring.q))
+
+
+def _any_poly(R, rng, nterms, maxdeg):
+    return R.from_terms((tuple(rng.randrange(maxdeg + 1) for _ in range(R.nvars)),
+                         _any_element(R.coeff_ring, rng)) for _ in range(nterms))
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True)
+@given(name=st.sampled_from(sorted(SCALAR_RINGS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_scalar_arithmetic_agrees_with_evaluation(name, seed):
+    """Identities that tie each operation to evaluation, in every scalar form."""
+    ring, rng = SCALAR_RINGS[name], random.Random(seed)
+    R = PolyRing(ring, ("x", "y", "z"))
+    f, g = _any_poly(R, rng, 6, 3), _any_poly(R, rng, 4, 2)
+    v = [_any_element(ring, rng) for _ in range(3)]
+    fv = f.evaluate(v)
+    assert (f * g).evaluate(v) == fv * g.evaluate(v)
+    assert (f + g).evaluate(v) == fv + g.evaluate(v)
+    assert f.partial_eval({0: v[0], 2: v[2]}).evaluate([0, v[1], 0]) == fv
+    S = PolyRing(ring, ("s", "t"))
+    images = [_any_poly(S, rng, 3, 2) for _ in range(3)]
+    w = [_any_element(ring, rng) for _ in range(2)]
+    assert substitute(f, images).evaluate(w) == f.evaluate([h.evaluate(w) for h in images])
+    if isinstance(ring, FqField):
+        ext = flat_extension(ring, 2)
+        u = [ext.random_element(rng) for _ in range(3)]
+        embedded = f.map_coefficients(ext.element, PolyRing(ext, R.names))
+        assert f.evaluate(u, into=ext) == embedded.evaluate(u)
 
 
 def test_slice_rows_and_plane_slices_match_partial_evaluation():

@@ -181,22 +181,10 @@ def test_sample_curve_points_solves_each_slice_once(monkeypatch):
     assert 0 < len(calls) <= 3 * 2 * 9  # charts x positions x values
 
 
-POINTLESS_QUARTIC_F3 = {
-    "vars": ["X", "Y", "Z"],
-    "terms": [
-        {"e": [4, 0, 0], "c": [2]}, {"e": [3, 0, 1], "c": [2]},
-        {"e": [2, 1, 1], "c": [2]}, {"e": [1, 3, 0], "c": [1]},
-        {"e": [1, 1, 2], "c": [2]}, {"e": [1, 0, 3], "c": [1]},
-        {"e": [0, 4, 0], "c": [1]}, {"e": [0, 2, 2], "c": [1]},
-        {"e": [0, 0, 4], "c": [2]},
-    ],
-}
-
-
 def test_pointless_quartic_over_f3():
     from gonalift.mpoly import from_dict
     F3 = FqField(3)
-    f = from_dict(POINTLESS_QUARTIC_F3, F3)
+    f = from_dict(fixtures.POINTLESS_QUARTIC_F3, F3)
     assert find_point_on_plane_curve(f) is None
     assert find_point_on_plane_curve(f, rng=random.Random(1)) is None
     assert brute_force_points(f) == set()

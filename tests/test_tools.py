@@ -5,8 +5,8 @@ for every family, a union of Newton polygons that lies inside the frozen
 entry of ``_derived_polygons.DERIVED``: a smaller sweep can only see less.
 Two runs of the output dumper with one seed must print the same JSON lines,
 each with tangent contacts and a sparse quartic's verdicts, then the
-genus-6 report's replayed model and samples, and last the reports of every
-special route and of a fallback.
+genus-6 report's replayed model and samples, the reports of every
+special route and of a fallback, and last the pointless F_3 quartic's.
 """
 
 import ast
@@ -45,7 +45,7 @@ def test_dump_outputs_is_reproducible_json():
     for out in runs:
         assert out.returncode == 0, out.stdout + out.stderr
     assert runs[0].stdout == runs[1].stdout
-    *lines, last, routes = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    *lines, last, routes, pointless = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) == 3
     for line in lines:
         assert set(line) == {"quartic", "classify", "sample_birational", "report",
@@ -75,3 +75,8 @@ def test_dump_outputs_is_reproducible_json():
             assert report["target"]["name"] == ROUTE_TARGETS[route]
             assert set(report["checks"].values()) == {"pass"}
     assert any("no usable hyperflex" in n for n in routes["fallback"]["notes"])
+    # the pointless quartic has gonality 4 and a checked lift
+    pointless = pointless["pointless"]
+    assert pointless["classify"]["gamma"] == 4
+    assert pointless["report"]["target"]["name"] == "g3_pointless"
+    assert set(pointless["report"]["checks"].values()) == {"pass"}

@@ -467,9 +467,22 @@ def test_report_json_roundtrip():
             LiftReport.from_json(bad)
     with pytest.raises(InputError):
         mpoly.from_dict({"vars": ["x"]}, F7)
+    # an order whose p is 0 is no order
+    with pytest.raises(InputError):
+        LiftReport.from_json(dict(data, order=dict(data["order"], p=0)))
     for terms in ([{"e": [1]}], [{"e": [1], "c": "z"}]):
         with pytest.raises(InputError):
             mpoly.from_dict({"vars": ["x"], "terms": terms}, F7)
+
+
+def test_sample_birational_rejects_a_stored_seed_that_seeds_nothing():
+    data = _weierstrass_report().to_json()
+    for seed in ([1, 2], {"s": 1}):
+        report = LiftReport.from_json(dict(data, seed=seed))
+        with pytest.raises(InputError):
+            sample_birational(report, samples=4)
+        with pytest.raises(InputError):
+            run_checks(report, samples=4)
 
 
 def test_g6_report_end_to_end():

@@ -19,12 +19,16 @@ line, ``{"g6": ...}``, holds the genus-6 report of ``tests/g6_fixture.py``:
 its trail replayed on the canonical ideal (``replay_mod_p``) and its
 ``sample_birational`` dict with 6 samples, which takes points through
 the ``linear``, ``substitute``, ``select`` and ``gcd`` steps.  The very
-last line, ``{"routes": ...}``, covers the routes that seeded quartics
+next line, ``{"routes": ...}``, covers the routes that seeded quartics
 rarely take: for each pinned quartic of ``tests/fixtures.py`` (F_31,
 seed 101) the ``LiftReport.to_json()`` after ``run_checks`` of its own
 route, of ``none`` and of ``tangent`` (lift seed 3), and under
 ``fallback`` the report of the first seed-41 F_13 quartic whose
-``hyperflex`` request falls back to the default route.  Two trees
+``hyperflex`` request falls back to the default route.  The last line,
+``{"pointless": ...}``, takes ``fixtures.POINTLESS_QUARTIC_F3``, a
+quartic with no rational point, through ``classify_gonality3``,
+``sample_birational`` and the checked report of ``lift_genus3``.  The
+quartics are drawn by ``fixtures.random_smooth_quartic``.  Two trees
 of the repository give the same output exactly when their pipelines
 agree on these inputs, so a change that should not alter output is
 checked by running this script in both trees and comparing the files
@@ -45,9 +49,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import fixtures
 import g6_fixture
-from derive_polygons import random_smooth_quartic
 from gonalift import ff, lift3, verify
-from gonalift.mpoly import PolyRing, dehomogenize
+from gonalift.mpoly import PolyRing, dehomogenize, from_dict
 from gonalift.pointsearch import points_on_plane_curve, tangent_contact
 
 
@@ -69,7 +72,7 @@ def dump(field, count, seed, out):
         S = sparse_quartic(ring, sparse_rng)
         sparse = {"quartic": S.to_dict(), "smooth": verify.plane_curve_is_smooth(S),
                   "failures": verify.check_nondegenerate(dehomogenize(S, 2)).failures}
-        F = random_smooth_quartic(ring, rng)
+        F = fixtures.random_smooth_quartic(ring, rng)
         lift_seed = rng.randrange(2 ** 31)
         C = lift3.Genus3Input(F)
         cls = lift3.classify_gonality3(C, rng=random.Random(lift_seed))
@@ -96,6 +99,7 @@ def dump(field, count, seed, out):
                    "sample_birational": verify.sample_birational(report, samples=6)}}
     out.write(json.dumps(line, sort_keys=True) + "\n")
     out.write(json.dumps({"routes": routes()}, sort_keys=True) + "\n")
+    out.write(json.dumps({"pointless": pointless()}, sort_keys=True) + "\n")
 
 
 def routes():
@@ -113,6 +117,16 @@ def routes():
     verify.run_checks(report)
     out["fallback"] = report.to_json()
     return out
+
+
+def pointless():
+    """The pointless F_3 quartic: its class, samples and checked report."""
+    C = lift3.Genus3Input(from_dict(fixtures.POINTLESS_QUARTIC_F3, ff.FqField(3)))
+    cls = lift3.classify_gonality3(C, rng=random.Random(0))
+    report = lift3.lift_genus3(C)
+    sampled = verify.sample_birational(report)
+    verify.run_checks(report)
+    return {"classify": cls, "sample_birational": sampled, "report": report.to_json()}
 
 
 def main(argv=None):
