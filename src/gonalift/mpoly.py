@@ -136,7 +136,8 @@ class _Scalars:
         return pw
 
 
-#: id of a ring -> its scalar form, which keeps the ring, and so its id, alive
+#: id of a ring -> its scalar form, which keeps the ring, and so its id, alive;
+#: a few suffice, and more would hold on to the residue field each order builds
 _FORMS = {}
 
 
@@ -144,7 +145,7 @@ def _scalars(ring):
     """The scalar form of a coefficient ring, built once per ring object."""
     form = _FORMS.get(id(ring))
     if form is None:
-        if len(_FORMS) > 64:
+        if len(_FORMS) > 8:
             _FORMS.clear()
         form = _FORMS[id(ring)] = _Scalars(ring)
     return form

@@ -268,8 +268,8 @@ def sample_curve_points(polys, limit, rng, ext=None):
     which every equation vanishes gives nothing.  In
     P^3-P^5 the residual system is zero-dimensional and solved by
     elimination, which can return spurious candidates, so each one is
-    re-checked against the full system (``MPoly.evaluate`` on coefficient
-    vectors).  A slice drawn again is not solved again, and drawing stops
+    re-checked against the full system (``MPoly.evaluate`` on scalar
+    coefficients).  A slice drawn again is not solved again, and drawing stops
     after max(32 limit, 64) draws or once all n(n-1)q slices have been
     drawn: on a small field the result is then every point the slices
     reach.

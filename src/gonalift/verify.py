@@ -459,7 +459,7 @@ def forward_point(coords, names, trail, L):
 
 
 def _in_scalars(steps, L):
-    """The read trail with each linear inverse in the scalar form of L, a field over F_q."""
+    """The read trail with each linear inverse in the scalar form of L, F_q or a field over it."""
     K = mpoly._scalars(L)
     return [(kind, K, [[K.to(a) for a in row] for row in data[1]])
             if kind == "linear" else (kind, *data) for kind, *data in steps]
