@@ -12,7 +12,10 @@ usually its tangent line) into standard position with a projective
 change of coordinates, dehomogenize at Z, and lift coefficients
 naively.  Each extra intersection of the curve with the new line at
 infinity that is forced into a coordinate point shaves monomials off
-the support of the model.  Routes, from plainest to most special:
+the support of the model, so each route's target polygon follows from
+its placement: the degree-4 triangle less the monomials the placement
+forces to vanish (``polygon.FORCED_ZEROS``).  Routes, from plainest to
+most special:
 
 * ``none``        P at (0:1:0)                                -> g3_point
 * ``tangent``     and the tangent at P to infinity            -> g3_tangent
@@ -165,7 +168,7 @@ def _route_model(F, route, p: ProjPoint, second: ProjPoint = None):
 
 def _verified_model(F, route, p, second=None):
     fbar, change = _route_model(F, route, p, second)
-    if not polygon.target(ROUTE_TARGETS[route]).contains_support(fbar):
+    if not polygon.target(ROUTE_TARGETS[route]).contains(polygon.newton_polygon(fbar)):
         raise VerticalTangent(f"support escaped the {route} bound")
     return fbar, change, route
 
@@ -286,10 +289,9 @@ def lift_genus3(C: Genus3Input, order=None, optimize="two_point",
                  verify.project_step(("X", "Y"), ("x", "y"))]
         notes.append("no rational point (exhaustive scan); lifting the full "
                      "quartic support with projection degree 4")
-    tp = polygon.target("g3_pointless" if route == "pointless"
-                        else ROUTE_TARGETS[route])
+    name = "g3_pointless" if route == "pointless" else ROUTE_TARGETS[route]
     f = fbar.map_coefficients(order.naive_lift, PolyRing(order, ("x", "y")))
     return verify.LiftReport(
-        order=order, f=f, gamma=gamma, genus=3, target=tp.name,
-        target_vertices=tp.polygon.vertices, baker=True, trail=trail,
+        order=order, f=f, gamma=gamma, genus=3, target=name,
+        target_vertices=polygon.target(name).vertices, baker=True, trail=trail,
         input_kind="quartic", input_gens=[F], seed=seed, notes=notes)

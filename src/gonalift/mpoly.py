@@ -137,7 +137,8 @@ class _Scalars:
 
 
 #: id of a ring -> its scalar form, which keeps the ring, and so its id, alive;
-#: a few suffice, and more would hold on to the residue field each order builds
+#: a few suffice, since a lift's reduction lies over the curve's own field
+#: (``OkRing.for_field``), so the curves over one field share one form
 _FORMS = {}
 
 

@@ -106,21 +106,29 @@ class OkRing:
         m = [int(c) for c in m]
         if not m or m[-1] != 1:
             raise ValueError("m must be monic over Z")
-        n = len(m) - 1
         # FqField construction validates p, before it reduces m mod p, and
         # the irreducibility of m mod p, which is what makes p inert
-        self.field = FqField(p, n, m)
-        self.p = p
-        self.n = n
+        self._over(FqField(p, len(m) - 1, m), m)
+
+    @classmethod
+    def for_field(cls, field: FqField):
+        """The order whose m is the canonical lift of the field's modulus.
+
+        Its residue field is ``field`` itself, so a lift and its reduction
+        share one field object.
+        """
+        order = cls.__new__(cls)
+        order._over(field, field.modulus)
+        return order
+
+    def _over(self, field, m):
+        self.field = field
+        self.p = p = field.p
+        self.n = n = field.n
         self.m = tuple(m)
         self._hash_key = ("ok", p, self.m)
         self.zero = OkElement(self, (0,) * n)
         self.one = OkElement(self, (1,) + (0,) * (n - 1))
-
-    @classmethod
-    def for_field(cls, field: FqField):
-        """The order whose m is the canonical lift of the field's modulus."""
-        return cls(field.p, list(field.modulus))
 
     def __eq__(self, other):
         if self is other:

@@ -5,6 +5,12 @@ may degenerate to a segment or a single point.  Interior lattice-point
 counts give the genus bound of a nondegenerate curve, and the lattice
 width bounds its gonality; both queries run by exhaustive enumeration,
 which is exact and instant at these sizes.
+
+The named targets bound the supports of the plane quartic models that
+``lift3`` builds.  Each is the hull of the degree-4 triangle
+{(a, b) : a + b <= 4} less the monomials its placement forces to vanish,
+listed in ``FORCED_ZEROS``; every such hull has 3 interior points, the
+genus of a smooth plane quartic.
 """
 
 from __future__ import annotations
@@ -156,36 +162,34 @@ def newton_polygon(f) -> LatticePolygon:
 # ---------------------------------------------------------------------------
 # named target polygons
 
-class TargetPolygon:
-    """A named support bound guaranteed by one lifting construction."""
+#: target name -> the monomials x^a y^b, as (a, b), that the placement
+#: forces to vanish in the degree-4 triangle {a + b <= 4}
+FORCED_ZEROS = {
+    # no point placed: the full quartic support (gonality 4)
+    "g3_pointless": (),
+    # P = (0:1:0) lies on C
+    "g3_point": ((0, 4),),
+    # and the tangent at P is Z = 0
+    "g3_tangent": ((0, 4), (1, 3)),
+    # and the residual tangent point is (1:0:0)
+    "g3_two_point": ((0, 4), (1, 3), (4, 0)),
+    # contact 3 at P, residual point (1:0:0)
+    "g3_flex": ((0, 4), (1, 3), (2, 2), (4, 0)),
+    # Z = 0 touches C at P and at (1:0:0)
+    "g3_bitangent": ((0, 4), (1, 3), (3, 1), (4, 0)),
+    # contact 4 at P
+    "g3_hyperflex": ((0, 4), (1, 3), (2, 2), (3, 1)),
+}
 
-    __slots__ = ("name", "polygon")
-
-    def __init__(self, name, vertices):
-        self.name = name
-        self.polygon = LatticePolygon(vertices)
-
-    def contains_support(self, f):
-        return self.polygon.contains(newton_polygon(f))
-
-    def __repr__(self):
-        return f"TargetPolygon({self.name!r}, {list(self.polygon.vertices)})"
-
-
-_FIXED_TARGETS = {
-    # genus 3, plane quartics
-    "g3_plain": [(0, 0), (4, 0), (0, 4)],
-    "g3_point": [(0, 0), (4, 0), (1, 3), (0, 3)],
-    # plane quartic fallback for pointless curves (gonality 4)
-    "g3_pointless": [(0, 0), (4, 0), (0, 4)],
+_TARGETS = {
+    name: LatticePolygon((a, b) for a in range(5) for b in range(5 - a)
+                         if (a, b) not in zeros)
+    for name, zeros in FORCED_ZEROS.items()
 }
 
 
-def target(name) -> TargetPolygon:
-    if name in _FIXED_TARGETS:
-        return TargetPolygon(name, _FIXED_TARGETS[name])
-    from . import _derived_polygons
-    if name in _derived_polygons.DERIVED:
-        return TargetPolygon(name, _derived_polygons.DERIVED[name])
-    raise InputError(f"unknown target polygon {name!r}")
-
+def target(name) -> LatticePolygon:
+    """The support bound of a plane quartic model placed as ``name`` says."""
+    if name not in _TARGETS:
+        raise InputError(f"unknown target polygon {name!r}")
+    return _TARGETS[name]

@@ -4,19 +4,21 @@ import random
 
 from gonalift import linalg, verify
 from gonalift.ff import FqField
-from gonalift.lift3 import Genus3Input, lift_genus3
+from gonalift.lift3 import ROUTE_TARGETS, Genus3Input, lift_genus3
 from gonalift.mpoly import LinearChange, PolyRing
 from gonalift.pointsearch import ProjPoint
+from gonalift.polygon import FORCED_ZEROS
 
 #: coefficient pins that give a quartic each special route's configuration
-#: at (0:1:0): an ordinary flex, a bitangent, a hyperflex
+#: at (0:1:0): an ordinary flex, a bitangent, a hyperflex.  The zero pins are
+#: the monomials X^a Y^b Z^(4-a-b) the route's target forces to vanish; the
+#: nonzero pins keep the configuration from degenerating further
 SPECIAL_PINS = {
-    "flex": {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
-             (2, 2, 0): 0, (3, 1, 0): "nonzero", (4, 0, 0): 0},
-    "bitangent": {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
-                  (2, 2, 0): "nonzero", (3, 1, 0): 0, (4, 0, 0): 0},
-    "hyperflex": {(0, 4, 0): 0, (1, 3, 0): 0, (0, 3, 1): "nonzero",
-                  (2, 2, 0): 0, (3, 1, 0): 0, (4, 0, 0): "nonzero"},
+    route: {(a, b, 4 - a - b): 0 for a, b in FORCED_ZEROS[ROUTE_TARGETS[route]]}
+    | dict.fromkeys(nonzero, "nonzero")
+    for route, nonzero in (("flex", [(0, 3, 1), (3, 1, 0)]),
+                           ("bitangent", [(0, 3, 1), (2, 2, 0)]),
+                           ("hyperflex", [(0, 3, 1), (4, 0, 0)]))
 }
 
 #: a smooth plane quartic over F_3 with no F_3-rational point

@@ -29,6 +29,8 @@ KEPT = {
         "the tests' entry to _squarefree_decomposition, which factor runs",
     "polygon.LatticePolygon.boundary_points": "the tests' Pick's-formula reference",
     "polygon.LatticePolygon.lattice_points": "the tests draw sub-polygons from it",
+    "verify.make_monic": "the monic model over the order is what Tuitman's algorithm "
+                         "takes; the tests hold each route's monic x-degree to its bound",
     "verify.substitute_step": "a trail kind the genus-6 report writes",
     "verify.gcd_step": "a trail kind the genus-6 report writes",
     "verify.select_step": "a trail kind the genus-6 report writes",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from gonalift import lift3, polygon, verify
+from gonalift import lift3, pointsearch, polygon, verify
 from gonalift.errors import InputError, UnsupportedInput, VerticalTangent
 from gonalift.ff import FqField
 from gonalift.lift3 import (Genus3Input, ROUTE_TARGETS, classify_gonality3,
@@ -263,22 +263,65 @@ def test_lift_retries_past_bad_points():
     assert rep.target == "g3_point"
 
 
-# -- frozen route polygons
+# -- route polygons from forced zeros
 
 
 def test_route_polygons_all_have_genus_interior():
-    for name in list(ROUTE_TARGETS.values()) + ["g3_plain", "g3_pointless"]:
-        tp = polygon.target(name)
-        assert len(tp.polygon.interior_points()) == 3, name
+    for name in list(ROUTE_TARGETS.values()) + ["g3_pointless"]:
+        assert len(polygon.target(name).interior_points()) == 3, name
 
 
 def test_route_polygons_nest_along_the_ladder():
-    plain = polygon.target("g3_plain").polygon
-    point = polygon.target("g3_point").polygon
-    tangent = polygon.target("g3_tangent").polygon
-    two_point = polygon.target("g3_two_point").polygon
-    hyperflex = polygon.target("g3_hyperflex").polygon
-    assert plain.contains(point)
+    pointless = polygon.target("g3_pointless")
+    point = polygon.target("g3_point")
+    tangent = polygon.target("g3_tangent")
+    two_point = polygon.target("g3_two_point")
+    hyperflex = polygon.target("g3_hyperflex")
+    assert pointless.contains(point)
     assert point.contains(tangent)
     assert tangent.contains(two_point)
     assert tangent.contains(hyperflex)
+
+
+def _route_models(field, rng):
+    """(route, model) of every route: the point routes on two seeded quartics,
+    the special ones on each pinned quartic, placed from its scrambled form."""
+    ring = PolyRing(field, ("X", "Y", "Z"))
+    for _ in range(2):
+        F = fixtures.random_smooth_quartic(ring, rng)
+        points = points_on_plane_curve(F)
+        for route in ("none", "tangent"):
+            yield route, lift3._route_model(F, route, points[0])[0]
+        for p in points:
+            _mult, others = pointsearch.tangent_contact(F, p)
+            if others:
+                second = lift3._second_points(others)[0]
+                yield "two_point", lift3._route_model(F, "two_point", p, second)[0]
+                break
+    for route, pins in fixtures.SPECIAL_PINS.items():
+        F0 = fixtures.random_smooth_quartic(ring, rng, pins)
+        change = fixtures.random_scramble(field, rng)
+        p = fixtures.transported(change, [field.zero, field.one, field.zero])
+        second = None if route == "hyperflex" else \
+            fixtures.transported(change, [field.one, field.zero, field.zero])
+        yield route, lift3._route_model(change.apply(F0), route, p, second)[0]
+
+
+@pytest.mark.parametrize("field", [F31, FqField(37), FqField(5, 2)], ids=str)
+def test_route_models_keep_their_forced_zeros(field):
+    seen = set()
+    for route, fbar in _route_models(field, random.Random(20260825)):
+        name = ROUTE_TARGETS[route]
+        seen.add(route)
+        assert not set(polygon.FORCED_ZEROS[name]) & set(fbar.terms), (route, fbar)
+        assert len(polygon.target(name).interior_points()) == 3
+        assert make_monic(fbar, 3).degree_in(0) <= MONIC_X_BOUNDS[name], (route, fbar)
+    assert seen == set(ROUTE_TARGETS)
+
+
+def test_lift_shares_the_curve_field():
+    F = fixtures.random_smooth_quartic(R31, random.Random(3))
+    C = Genus3Input(F, check=False)
+    rep = lift_genus3(C)
+    assert rep.order.field is C.field
+    assert rep.reduction().ring.coeff_ring is C.field
