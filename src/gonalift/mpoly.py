@@ -128,6 +128,23 @@ class _Scalars:
         back = self.back
         return {e: back(s) for e, s in self.reduce(d).items()}
 
+    def evaluate(self, exps, terms, xs):
+        """The sum of the (exponent, scalar) pairs ``terms`` at the scalars xs, unreduced.
+
+        Each value's powers are built once, up to the largest of its
+        exponents in ``exps``, the terms' exponent tuples.
+        """
+        mul, add = self.mul, self.add
+        # no terms means no exponents, so no powers
+        powers = [self.powers(x, k) for x, k in zip(xs, map(max, zip(*exps)))]
+        acc = self.zero
+        for e, t in terms:
+            for pw, k in zip(powers, e):
+                if k:
+                    t = mul(t, pw[k])
+            acc = add(acc, t)
+        return acc
+
     def powers(self, x, k):
         """[1, x, ..., x^k], reduced."""
         pw = [self.one]
@@ -297,26 +314,18 @@ class MPoly:
         Every value is coerced into that ring once, and the sum is taken
         in its scalar form (``_scalars``): an int mod p over F_p, into
         which each coefficient goes as it is; a coefficient tuple over
-        F_{p^n}, with an F_p coefficient padded straight into it.  Each
-        value's powers are built once, up to the largest exponent a term
-        asks for.  A curve restricted to a line is ``substitute``'s.
+        F_{p^n}, with an F_p coefficient padded straight into it
+        (``_Scalars.evaluate``).  A curve restricted to a line is
+        ``substitute``'s.
         """
         ring = into if into is not None else self.ring.coeff_ring
         if len(values) != self.ring.nvars:
             raise InputError("wrong number of values")
         K = _scalars(ring)
-        to, add, mul = K.to, K.add, K.mul
-        # an empty polynomial has no exponents, so no powers and no terms
-        powers = [K.powers(to(ring.element(v)), k)
-                  for v, k in zip(values, map(max, zip(*self.terms)))]
-        acc = K.zero
-        for e, c in self.terms.items():
-            t = to(c)
-            for pw, k in zip(powers, e):
-                if k:
-                    t = mul(t, pw[k])
-            acc = add(acc, t)
-        return K.back(K.norm(acc))
+        to = K.to
+        xs = [to(ring.element(v)) for v in values]
+        terms = ((e, to(c)) for e, c in self.terms.items())
+        return K.back(K.norm(K.evaluate(self.terms, terms, xs)))
 
     def partial_eval(self, assignments):
         """Evaluate some variables; the result keeps the same ring."""

@@ -2,7 +2,9 @@
 
 A plane curve f(X, Y, Z) = 0 is searched slice by slice: the chart
 X = 1 is cut into the lines Y = u, and each slice f(1, u, v) is a
-univariate solved by exact root extraction.  Every slice, here and in
+univariate solved by exact root extraction: over F_p with p below
+``upoly._SCAN_CAP`` by evaluating the slice at every element of F_p at
+once (``upoly._scan``), otherwise by splitting.  Every slice, here and in
 ``sample_curve_points``, is solved by ``mpoly.PlaneSlices.roots``: the
 rows of f(1, u, v) are converted once to ``upoly``'s kernel for the
 field (int lists over F_p), and each slice is evaluated, reduced to the

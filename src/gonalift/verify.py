@@ -555,27 +555,36 @@ class LiftReport:
 
     @classmethod
     def from_json(cls, data) -> "LiftReport":
-        """The report of ``to_json``; InputError on any other data."""
+        """The report of ``to_json``; InputError on any other data.
+
+        A target named in ``polygon.FORCED_ZEROS`` must store that table's
+        vertices, since ``polygon_containment`` checks the stored ones.
+        """
         if not isinstance(data, dict) or data.get("schema") != "v1":
             raise InputError("unknown report schema")
         try:
             order = ok.OkRing(data["order"]["p"], data["order"]["m"])
             field = order.field
-            return cls(order=order,
-                       f=mpoly.from_dict(data["f"], order),
-                       gamma=data["gamma"],
-                       genus=data["genus"],
-                       target=data["target"]["name"],
-                       target_vertices=data["target"]["vertices"],
-                       baker=data["baker"],
-                       trail=data["trail"],
-                       input_kind=data["kind"],
-                       input_gens=[mpoly.from_dict(d, field) for d in data["input"]],
-                       seed=data.get("seed"),
-                       checks=data.get("checks"),
-                       notes=data.get("notes"))
+            report = cls(order=order,
+                         f=mpoly.from_dict(data["f"], order),
+                         gamma=data["gamma"],
+                         genus=data["genus"],
+                         target=data["target"]["name"],
+                         target_vertices=data["target"]["vertices"],
+                         baker=data["baker"],
+                         trail=data["trail"],
+                         input_kind=data["kind"],
+                         input_gens=[mpoly.from_dict(d, field) for d in data["input"]],
+                         seed=data.get("seed"),
+                         checks=data.get("checks"),
+                         notes=data.get("notes"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed report: {exc!r}") from None
+        if (report.target in polygon.FORCED_ZEROS
+                and report.target_vertices != polygon.target(report.target).vertices):
+            raise InputError(f"the stored vertices of target {report.target!r} "
+                             "are not the table's")
+        return report
 
 
 def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
@@ -608,14 +617,19 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     defined = 0
     failures = []
     read = _read_trail(report.trail, report.input_gens[0].ring)
-    # the one reading, with each linear inverse in the scalar form of F_q and F_{q^2}
-    steps = {L: _in_scalars(read, L) for L in (field, ext)}
+    # the one reading, with each linear inverse in the scalar form of F_q and
+    # F_{q^2}, and the reduced lift's terms in the same form, converted once
+    forms = {}
+    for L in (field, ext):
+        K = mpoly._scalars(L)
+        forms[L] = _in_scalars(read, L), K, [(e, K.to(c)) for e, c in red.terms.items()]
     for coords, L in pool:
-        img = _transport(steps[L], coords, L)
+        steps, K, terms = forms[L]
+        img = _transport(steps, coords, L)
         if img is None:
             continue
         defined += 1
-        if red.evaluate(list(img), into=L):
+        if K.norm(K.evaluate(red.terms, terms, [K.to(c) for c in img])) != K.zero:
             failures.append([str(c) for c in coords])
     if defined == 0:
         return {"status": "skipped", "sampled": len(pool), "defined": 0,

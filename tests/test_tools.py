@@ -60,3 +60,24 @@ def test_dump_outputs_is_reproducible_json():
     assert pointless["classify"]["gamma"] == 4
     assert pointless["report"]["target"]["name"] == "g3_pointless"
     assert set(pointless["report"]["checks"].values()) == {"pass"}
+
+
+def test_bench_pairs_summarises_the_recorded_pairs(tmp_path):
+    def record(side, seed, certify_s, peak):
+        return {"side": side, "seed": seed, "workload": "quartic-prime", "inputs": 900,
+                "wall_s": 80.0, "metrics": {"certify_s": certify_s, "peak_rss_mb": peak}}
+
+    runs = [record("parent", 1, 0.020, 19.0), record("change", 1, 0.015, 19.1),
+            record("change", 2, 0.016, 18.9), record("parent", 2, 0.019, 19.0)]
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps(runs))
+    # no seeds: nothing runs, and the pairs in the file are summarised
+    cmd = [sys.executable, os.path.join("tools", "bench_pairs.py"), "--parent", "none",
+           "--change", ROOT, "--out", str(out)]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = {line.split()[0]: line for line in done.stdout.splitlines()}
+    assert lines["=="] == "== quartic-prime: 2 pairs"
+    assert lines["certify_s"].endswith("change better in 2/2")
+    assert lines["peak_rss_mb"].endswith("change better in 1/2")
+    assert json.loads(out.read_text()) == runs

@@ -8,7 +8,7 @@ from sympy.polys.galoistools import gf_pow_mod
 
 from fixtures import random_smooth_quartic
 from gonalift import upoly
-from gonalift.ff import FqField
+from gonalift.ff import FqField, is_prime
 from gonalift.lift3 import Genus3Input, lift_genus3
 from gonalift.mpoly import PolyRing
 from gonalift.verify import sample_birational
@@ -243,13 +243,19 @@ def _sympy_ints(sp, p):
     return [int(c) % p for c in reversed(sp.all_coeffs())]
 
 
-@pytest.mark.parametrize("p", [7, 101, 1009])
+#: the primes on either side of the cap below which roots come from ``upoly._scan``
+BELOW_CAP = max(q for q in range(2, upoly._SCAN_CAP) if is_prime(q))
+ABOVE_CAP = min(q for q in range(upoly._SCAN_CAP, 2 * upoly._SCAN_CAP) if is_prime(q))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 127, BELOW_CAP, ABOVE_CAP, 1009])
 def test_prime_field_kernel_agrees_with_sympy(p):
     field = FqField(p)
     rng = random.Random(p)
     x = sympy.Symbol("x")
     for _ in range(25):
-        a = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1 + rng.randrange(p - 1)]
+        # up to degree 14, the size of an eliminant
+        a = [rng.randrange(p) for _ in range(rng.randrange(1, 11))] + [1 + rng.randrange(p - 1)]
         for _ in range(rng.randrange(4)):  # planted roots, sometimes repeated
             r = rng.randrange(p)
             a = _ints(upoly.mul(field, poly(field, a), poly(field, [-r, 1])))
@@ -270,8 +276,15 @@ def test_prime_field_kernel_agrees_with_sympy(p):
         if not upoly.is_zero(pb):
             assert _ints(upoly.gcd(field, pa, pb)) == _sympy_ints(sa.gcd(sb), p)
         e = rng.randrange(p ** 3)
-        want_pow = gf_pow_mod(list(reversed(b)), e, list(reversed(a)), p, ZZ)
+        want_pow = gf_pow_mod(list(reversed(_ints(pb))), e, list(reversed(a)), p, ZZ)
         assert _ints(upoly.pow_mod(field, pb, e, pa)) == [int(c) for c in reversed(want_pow)]
+
+
+def test_scan_refuses_slots_that_could_overflow():
+    K = upoly._Ints(BELOW_CAP)
+    fits = (1 << 32) // (BELOW_CAP - 1) ** 2  # len(a) (p - 1)^2 < 2^32 at most this long
+    assert upoly._scans(K, [1] * fits) and not upoly._scans(K, [1] * (fits + 1))
+    assert not upoly._scans(upoly._Ints(ABOVE_CAP), [0, 1])
 
 
 def _element_path_roots(field, a):
@@ -375,6 +388,24 @@ def test_sample_birational_over_fp2_skips_the_element_kernel(monkeypatch):
     monkeypatch.setattr(upoly._Elements, "pow_mod", counted)
     out = sample_birational(report)
     assert out["status"] == "pass" and out["sampled"] > 25  # F_{q^2} points too
+    assert calls == []
+
+
+def test_sample_birational_over_f127_finds_roots_by_scanning(monkeypatch):
+    rng = random.Random(127)
+    F = random_smooth_quartic(PolyRing(FqField(127), ("X", "Y", "Z")), rng)
+    report = lift_genus3(Genus3Input(F), seed=127)
+    calls = []
+    linear_part = upoly._linear_part
+
+    def counted(K, a):
+        calls.append(K.field)
+        return linear_part(K, a)
+
+    monkeypatch.setattr(upoly, "_linear_part", counted)
+    out = sample_birational(report)
+    assert out["status"] == "pass" and out["sampled"] > 25
+    # the F_q slices are scanned, and the F_{q^2} ones are factored over F_q
     assert calls == []
 
 

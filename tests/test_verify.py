@@ -475,6 +475,22 @@ def test_report_json_roundtrip():
             mpoly.from_dict({"vars": ["x"], "terms": terms}, F7)
 
 
+def test_stored_target_must_be_the_tables():
+    rng = random.Random(5)
+    F = random_smooth_quartic(PolyRing(FqField(31), ("X", "Y", "Z")), rng)
+    data = lift_genus3(Genus3Input(F)).to_json()
+    name = data["target"]["name"]
+    assert LiftReport.from_json(data).target_vertices == polygon.target(name).vertices
+    # widened under its own name, it would pass polygon_containment
+    wide = dict(data, target={"name": name, "vertices": [[0, 0], [9, 0], [0, 9]]})
+    with pytest.raises(InputError):
+        LiftReport.from_json(wide)
+    # a name outside the table keeps the vertices it stores
+    again = LiftReport.from_json(g6.report().to_json())
+    assert again.target == "rectangle 4x3"
+    assert again.target_vertices == ((0, 0), (4, 0), (4, 3), (0, 3))
+
+
 def test_sample_birational_rejects_a_stored_seed_that_seeds_nothing():
     data = _weierstrass_report().to_json()
     for seed in ([1, 2], {"s": 1}):
