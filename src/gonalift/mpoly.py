@@ -638,10 +638,16 @@ def resultant(f, g, var):
     """Sylvester determinant with respect to one variable.
 
     Over a field, when f and g together involve at most one variable u
-    besides ``var``, the entries are univariate in u and the determinant
-    is Bareiss's fraction-free elimination over F[u] (``upoly.det``).
-    Otherwise (more variables, or a coefficient ring without division
-    such as the order) it is the division-free ``linalg.det``.
+    besides ``var``, the entries are univariate in u, and the resultant's
+    u-degree is at most B, the smaller of deg f * deg g and the row bound
+    (each Sylvester row's largest entry degree, summed).  Over F_p with
+    p > B it is interpolated from its values at u = 0, ..., B on the int
+    kernel, each the Euclid resultant of the two slices
+    (``upoly._resultant``) or, where a leading coefficient in ``var``
+    vanishes, the determinant of their Sylvester matrix.  Over any other
+    field (q <= B, or n > 1) it is Bareiss's elimination over F[u]
+    (``upoly.det``); with more variables, or over a ring without
+    division such as the order, the division-free ``linalg.det``.
     """
     fc, gc = _sylvester_coeffs(f, g, var)
     ring = f.ring
@@ -650,18 +656,38 @@ def resultant(f, g, var):
         return linalg.det(_sylvester_rows(fc, gc, ring.zero()), ring.zero(), ring.one())
     # constant entries are univariate in any variable; var does not occur in them
     u = others.pop() if others else var
-    zero = ring.coeff_ring.zero
+    field = ring.coeff_ring
 
     def in_u(h):
-        out = [zero] * (h.degree_in(u) + 1)
+        out = [field.zero] * (h.degree_in(u) + 1)
         for e, c in h.terms.items():
             out[e[u]] = c
         return out
 
-    r = upoly.det(ring.coeff_ring,
-                  _sylvester_rows([in_u(h) for h in fc], [in_u(h) for h in gc], []))
+    rows = [[in_u(h) for h in hc] for hc in (fc, gc)]
+    (m, df), (n, dg) = ((len(hc) - 1, max(map(len, hc)) - 1) for hc in rows)
+    bound = min(f.total_degree() * g.total_degree(), n * df + m * dg)
+    if field.n == 1 and field.p > bound:
+        K = upoly._kernel(field)
+        r = K.back(_evaluated_resultant(K, *([K.to(c) for c in hc] for hc in rows), bound))
+    else:
+        r = upoly.det(field, _sylvester_rows(*rows, []))
     return MPoly(ring, {tuple(i if j == u else 0 for j in range(ring.nvars)): c
                         for i, c in enumerate(r) if c})
+
+
+def _evaluated_resultant(K, fr, gr, bound):
+    """The resultant of the rows fr and gr, in int-kernel form, from its values at u <= bound."""
+    values = []
+    for x in range(bound + 1):
+        a, b = [K.eval(c, x) for c in fr], [K.eval(c, x) for c in gr]
+        if a[-1] and b[-1]:
+            r = upoly._resultant(K, a, b)
+        else:  # the formal degrees count: the scalar Sylvester matrix
+            r = upoly._det(K, _sylvester_rows(*([[c] if c else [] for c in s]
+                                                for s in (a, b)), []))
+        values.append(r[0] if r else 0)
+    return upoly._vinterpolate(values, K.p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ they stay lists of elements (``_Elements``).  Both kernels offer the
 same methods (``sub``, ``mul``, ``divmod``, ``rem``, ``gcd``,
 ``pow_mod``, ...), so each algorithm is written once.  ``det`` is
 Bareiss's fraction-free elimination on a matrix of polynomials in one
-variable; ``mpoly`` computes its Sylvester resultants with it.
+variable, and ``_resultant`` Euclid's resultant; ``mpoly`` computes its
+Sylvester resultants with the first over small fields and interpolates
+them from values of the second (``_vinterpolate``) over larger F_p.
 Modular powers over F_p keep the polynomial as one int with a slot per
 coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
 a single big-int product.
@@ -111,14 +113,6 @@ def x_poly(field):
     return [field.zero, field.one]
 
 
-def lc(cs):
-    """Leading coefficient; raises on the zero polynomial."""
-    d = degree(cs)
-    if d < 0:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return cs[d]
-
-
 def add(field, a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -128,12 +122,8 @@ def add(field, a, b):
     return trim(out)
 
 
-def neg(a):
-    return [-c for c in a]
-
-
 def sub(field, a, b):
-    return add(field, a, neg(b))
+    return add(field, a, [-c for c in b])
 
 
 def scale(field, a, c):
@@ -222,29 +212,31 @@ def derivative(field, a):
 
 def resultant(field, a, b):
     """Exact resultant of two univariate polynomials over a field."""
-    a = trim(a)
-    b = trim(b)
-    da, db = len(a) - 1, len(b) - 1
-    if da < 0 or db < 0:
-        return field.zero
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    acc = field.one
-    sign = 1
-    while True:
-        r = rem(field, a, b)
-        dr = degree(r)
-        if da * db % 2 == 1:
-            sign = -sign
-        if dr < 0:
-            return field.zero
-        acc = acc * lc(b) ** (da - dr)
-        a, b, da, db = b, r, db, dr
-        if db == 0:
-            acc = acc * b[0] ** da
-            return acc if sign == 1 else -acc
+    K = _kernel(field)
+    r = _resultant(K, K.to(a), K.to(b))
+    return K.back(r)[0] if r else field.zero
+
+
+def _resultant(K, a, b):
+    """Res(a, b) of trimmed lists in the form of K, as [] or [c], by Euclid's algorithm.
+
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) with
+    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c.
+    """
+    if not a or not b:
+        return []
+    acc, negate = [K.one], False
+    while len(b) > 1:
+        r = K.rem(a, b)
+        if not r:
+            return []
+        negate ^= (len(a) - 1) * (len(b) - 1) % 2 == 1
+        for _ in range(len(a) - len(r)):
+            acc = K.mul(acc, b[-1:])
+        a, b = b, r
+    for _ in range(len(a) - 1):
+        acc = K.mul(acc, b)
+    return K.sub([], acc) if negate else acc
 
 
 def det(field, rows):
@@ -258,7 +250,11 @@ def det(field, rows):
     below the diagonal makes the determinant zero.
     """
     K = _kernel(field)
-    m = [[K.to(c) for c in row] for row in rows]
+    return K.back(_det(K, [[K.to(c) for c in row] for row in rows]))
+
+
+def _det(K, m):
+    """``det`` on a matrix of lists in the form of K, which it overwrites."""
     n = len(m)
     negate = False
     prev = None
@@ -280,7 +276,7 @@ def det(field, rows):
                 row[j] = t if prev is None else K.divmod(t, prev)[0]
         prev = akk
     d = m[-1][-1] if n else [K.one]
-    return K.back(K.sub([], d) if negate else d)
+    return K.sub([], d) if negate else d
 
 
 # ---------------------------------------------------------------------------
@@ -907,6 +903,24 @@ def _vpack(a, w):
     for c in reversed(a):
         out = (out << w) | c
     return out
+
+
+def _vinterpolate(ys, p):
+    """The trimmed int list of degree below len(ys) < p that takes ys[i] at u = i.
+
+    Newton's divided differences on the nodes 0, 1, ..., whose level-k
+    differences all divide by k, then Horner's rule in the Newton basis.
+    """
+    c = list(ys)
+    for k in range(1, len(c)):
+        inv = pow(k, p - 2, p)
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    out = []
+    for k in range(len(c) - 1, -1, -1):
+        # out * (u - k) + c_k
+        out = [(a - k * b) % p for a, b in zip([c[k]] + out, out + [0])]
+    return _vtrim(out)
 
 
 def _vgcd(a, b, p):

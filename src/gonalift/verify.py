@@ -10,7 +10,10 @@ independently:
   reproduce the reduction of the lift coefficient for coefficient;
 * ``check_nondegenerate`` certifies nondegeneracy with respect to the
   Newton polygon by resultant/gcd elimination, never by enumerating
-  field elements, so a pass is a proof;
+  field elements, so a pass is a proof.  Like ``plane_curve_is_smooth``
+  it first tries the gcd of two resultants (``_resultant_gcd``); only
+  when that leaves a common zero possible does an eliminant's
+  factorization decide, and give every failure and witness;
 * ``sample_birational`` pushes points of the original model through the
   trail, read once for all of them, and evaluates the lift mod p there;
 * ``toric_point_count`` counts points of the smooth toric
@@ -146,6 +149,27 @@ def _fibres(polys):
         yield m, slices.gcd_mod(m)
 
 
+def _resultant_gcd(polys):
+    """gcd over F_q[x] of Res_y(polys[0], p) for p in polys[1:3], in ``upoly`` kernel form.
+
+    Each resultant lies in the ideal of its pair, so the x of a common
+    zero is a root of the gcd.  None when polys[0] is free of y or a
+    resultant vanishes: then it proves nothing.
+    """
+    F = polys[0]
+    if F.degree_in(1) < 1:
+        return None
+    K = upoly._kernel(F.ring.coeff_ring)
+    g = None
+    for P in polys[1:3]:
+        r = mpoly.resultant(F, P, 1)
+        if not r:
+            return None
+        r = K.to(mpoly.slice_rows(r, 0, 1)[0])
+        g = r if g is None else K.gcd(g, r)
+    return g
+
+
 def _interior_failures(F: MPoly):
     """Witnesses against nondegeneracy on the two-dimensional face."""
     Fx = mpoly.derivative(F, 0)
@@ -153,6 +177,9 @@ def _interior_failures(F: MPoly):
     actives = [D for D in (Fx, Fy) if D]
     if not actives:
         return [{"face": "interior", "reason": "the face polynomial is a p-th power"}]
+    g = _resultant_gcd([F] + actives)
+    if g is not None and not any(g[:-1]):
+        return []  # the gcd is c x^k: no common zero off x = 0, so none in the torus
     g = _strip_monomial_content(mpoly.bivariate_gcd([F] + actives))
     if g.total_degree() >= 1:
         return [{"face": "interior", "reason": "singular along a whole component",
@@ -203,7 +230,8 @@ def check_nondegenerate(fbar: MPoly) -> Nondegeneracy:
 def common_affine_zero_exists(polys) -> bool:
     """Whether bivariate polynomials share an affine zero over the closure.
 
-    Decided by exact elimination, never by enumerating field elements: a
+    Decided by exact elimination, never by enumerating field elements:
+    a constant ``_resultant_gcd`` rules out every common zero; else a
     nonconstant gcd is a whole curve of common zeros; otherwise the
     common zeros have x-coordinates among the roots of the eliminant, and
     each irreducible factor m of it is inspected through a gcd of the
@@ -215,6 +243,9 @@ def common_affine_zero_exists(polys) -> bool:
     if polys[0].ring.nvars != 2:
         raise InputError("the common-zero test works on plane systems")
     if any(p.total_degree() == 0 for p in polys):
+        return False
+    g = _resultant_gcd(polys)
+    if g is not None and len(g) == 1:
         return False
     g = mpoly.bivariate_gcd(polys)
     if g.total_degree() >= 1:
@@ -234,7 +265,11 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
     * the line Z = 0 with Y = 1, where the restrictions x -> g(x, 1, 0)
       share a root exactly when their gcd is nonconstant (when they all
       vanish, the whole line is singular, (1:0:0) included);
-    * the chart Z != 0, decided by ``common_affine_zero_exists``.
+    * the chart Z != 0, decided by ``common_affine_zero_exists``: smooth
+      at once when Res_y(F, F_X) and Res_y(F, F_Y) have a constant gcd
+      (interpolated over F_p with p above their degree bound,
+      ``mpoly.resultant``), else by the eliminant's factors, which so
+      give every singular verdict.
 
     Each piece is an exact decision over the algebraic closure; no field
     element is enumerated.
@@ -559,6 +594,9 @@ class LiftReport:
 
         A target named in ``polygon.FORCED_ZEROS`` must store that table's
         vertices, since ``polygon_containment`` checks the stored ones.
+        No term of ``f`` or of the input may have a total degree above 4
+        for the kind "quartic", else above the largest a + b of a target
+        vertex: it would only fail a check, after work that grows with it.
         """
         if not isinstance(data, dict) or data.get("schema") != "v1":
             raise InputError("unknown report schema")
@@ -584,6 +622,11 @@ class LiftReport:
                 and report.target_vertices != polygon.target(report.target).vertices):
             raise InputError(f"the stored vertices of target {report.target!r} "
                              "are not the table's")
+        bound = 4 if report.input_kind == "quartic" else max(
+            (a + b for a, b in report.target_vertices), default=0)
+        if any(h.total_degree() > bound for h in [report.f, *report.input_gens]):
+            raise InputError(f"a stored term has a degree above {bound}, the bound of "
+                             f"kind {report.input_kind!r} and target {report.target!r}")
         return report
 
 

@@ -255,6 +255,56 @@ def test_resultant_matches_sylvester_det(field):
     assert zeros >= 1  # the shared factor
 
 
+def test_evaluated_resultant_at_its_edges(monkeypatch):
+    # over F_p the resultant is interpolated from B + 1 points when p > B,
+    # B its degree bound, else it is Bareiss's; both equal the Sylvester
+    # determinant at p = B + 1 and p = B, and where leading coefficients in
+    # y vanish at some of the points
+    paths = []
+    evaluated, det = mpoly._evaluated_resultant, upoly.det
+    monkeypatch.setattr(mpoly, "_evaluated_resultant",
+                        lambda K, fr, gr, bound: paths.append(bound) or evaluated(K, fr, gr, bound))
+    monkeypatch.setattr(upoly, "det", lambda field, rows: paths.append("bareiss") or det(field, rows))
+    scalar_dets = []
+    inner = upoly._det
+
+    def counted(K, m):
+        if all(len(c) <= 1 for row in m for c in row):
+            scalar_dets.append(len(m))
+        return inner(K, m)
+
+    monkeypatch.setattr(upoly, "_det", counted)
+    for p in (13, 31, 127):
+        field = FqField(p)
+        R = PolyRing(field, ("x", "y"))
+        x, y = R.gens()
+        rng = random.Random(p)
+
+        def low(d):  # x^d plus random lower terms
+            return x ** d + R.from_terms(((i, 0), rng.randrange(p)) for i in range(d))
+
+        cases = [
+            # y-degrees 1 and 1, x-degrees 6 and 7: B is the row bound 13, or 12
+            (y * low(6) + low(5), y * low(7) + low(6), 13),
+            (y * low(6) + low(5), y * low(5) + low(6), 12),
+            # total degrees 4 and 3: B = 12
+            (y ** 4 + y ** 2 * low(2) + y * low(3) + low(4),
+             y ** 3 + y * low(2) + low(3), 12),
+            # leading coefficients vanishing at x = 1, 2 and 3, both at 3;
+            # B is the row bound 2 * 4 + 2 * 3
+            ((x - 1) * (x - 3) * y ** 2 + y * low(3) + low(4),
+             (x - 2) * (x - 3) * y ** 2 + y * low(2) + low(3), 14),
+        ]
+        for f, g, bound in cases:
+            del paths[:]
+            want = linalg.det(mpoly.sylvester_matrix(f, g, 1), R.zero(), R.one())
+            assert resultant(f, g, 1) == want
+            assert paths == [bound if p > bound else "bareiss"]
+    # p = 13 puts bounds 13 and 12 on either side; over F_31 and F_127 the
+    # points 1, 2 and 3 of the last case take a scalar 4 x 4 Sylvester determinant
+    assert scalar_dets.count(4) == 2 * 3
+
+
 def test_resultant_bivariate_time_budget():
     field = FqField(1009)
     R = PolyRing(field, ("x", "y"))

@@ -63,12 +63,16 @@ def test_dump_outputs_is_reproducible_json():
 
 
 def test_bench_pairs_summarises_the_recorded_pairs(tmp_path):
-    def record(side, seed, certify_s, peak):
-        return {"side": side, "seed": seed, "workload": "quartic-prime", "inputs": 900,
-                "wall_s": 80.0, "metrics": {"certify_s": certify_s, "peak_rss_mb": peak}}
+    def record(side, seed, certify_s, peak, workload="quartic-prime", wall_s=80.0):
+        return {"side": side, "seed": seed, "workload": workload, "inputs": 900,
+                "wall_s": wall_s, "metrics": {"certify_s": certify_s, "peak_rss_mb": peak}}
 
     runs = [record("parent", 1, 0.020, 19.0), record("change", 1, 0.015, 19.1),
-            record("change", 2, 0.016, 18.9), record("parent", 2, 0.019, 19.0)]
+            record("change", 2, 0.016, 18.9), record("parent", 2, 0.019, 19.0),
+            record("parent", 1, 0.021, 19.0, "quartic-small", 60.0),
+            record("change", 1, 0.014, 19.0, "quartic-small", 66.0),
+            record("change", 2, 0.014, 19.0, "quartic-small", 64.0),
+            record("parent", 2, 0.021, 19.0, "quartic-small", 62.0)]
     out = tmp_path / "pairs.json"
     out.write_text(json.dumps(runs))
     # no seeds: nothing runs, and the pairs in the file are summarised
@@ -76,8 +80,18 @@ def test_bench_pairs_summarises_the_recorded_pairs(tmp_path):
            "--change", ROOT, "--out", str(out)]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
-    lines = {line.split()[0]: line for line in done.stdout.splitlines()}
-    assert lines["=="] == "== quartic-prime: 2 pairs"
+    blocks = done.stdout.split("== ")[1:]
+    lines = {line.split()[0]: line for line in blocks[0].splitlines()}
+    assert lines["quartic-prime:"] == "quartic-prime: 2 pairs"
     assert lines["certify_s"].endswith("change better in 2/2")
     assert lines["peak_rss_mb"].endswith("change better in 1/2")
+    assert blocks[1].startswith("quartic-small: 2 pairs")
+    # each pair's wall_s summed over the two workloads: 140 and 142 s for the
+    # parent, 146 and 144 s for the change, so +6 and +2 s; the quartiles of
+    # two values lie halfway between them and their median
+    head, total = blocks[2].splitlines()
+    assert head == "quartic-prime + quartic-small: 2 pairs"
+    assert total.split() == ["wall_s", "summed", "141", "[140.5,", "141.5]", "->",
+                             "145", "[144.5,", "145.5]", "change", "-", "parent",
+                             "4", "[3,", "5]"]
     assert json.loads(out.read_text()) == runs

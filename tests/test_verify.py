@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -491,6 +492,30 @@ def test_stored_target_must_be_the_tables():
     assert again.target_vertices == ((0, 0), (4, 0), (4, 3), (0, 3))
 
 
+def test_stored_terms_above_the_degree_bound_are_refused():
+    # one term of x-degree 10^6 in f or in the input kept run_checks running
+    # for minutes; from_json now refuses it before any work
+    F = random_smooth_quartic(PolyRing(FqField(31), ("X", "Y", "Z")), random.Random(5))
+    data = lift_genus3(Genus3Input(F)).to_json()
+    huge = {"e": [10 ** 6, 0], "c": [1, 0]}
+    bad_f = dict(data, f=dict(data["f"], terms=data["f"]["terms"] + [huge]))
+    quartic = data["input"][0]
+    bad_input = dict(data, input=[dict(quartic, terms=quartic["terms"] + [
+        {"e": [10 ** 6, 0, 0], "c": [1]}])])
+    for bad in (bad_f, bad_input):
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="degree above 4"):
+            LiftReport.from_json(bad)
+        assert time.perf_counter() - t0 < 1
+    # the bound is the kind's, 4 for a quartic, else the target's largest degree
+    assert LiftReport.from_json(data).f.total_degree() == 4
+    g6_data = g6.report().to_json()
+    assert LiftReport.from_json(g6_data).target == "rectangle 4x3"
+    with pytest.raises(InputError, match="degree above 7"):
+        LiftReport.from_json(dict(g6_data, f=dict(g6_data["f"], terms=g6_data["f"]["terms"] + [
+            {"e": [4, 4], "c": [1]}])))
+
+
 def test_sample_birational_rejects_a_stored_seed_that_seeds_nothing():
     data = _weierstrass_report().to_json()
     for seed in ([1, 2], {"s": 1}):
@@ -723,3 +748,66 @@ def test_eliminant_factors_share_one_set_of_slices(monkeypatch):
     assert check_nondegenerate(f).ok
     assert len(factors) == 1 and len(factors[0]) >= 2
     assert rows_of == [f, mpoly.derivative(f, 0), mpoly.derivative(f, 1)]
+
+
+def test_resultant_shortcut_agrees_with_the_per_factor_path(monkeypatch):
+    # plane_curve_is_smooth and check_nondegenerate first try the gcd of two
+    # resultants (verify._resultant_gcd); with it switched off, the per-factor
+    # path decides alone, and the two must agree on every form
+    from fixtures import random_quartic
+    from gonalift.verify import plane_curve_is_smooth
+    shortcut, bgcd, det = verify._resultant_gcd, mpoly.bivariate_gcd, upoly.det
+    seen = {"shortcut": 0, "fallback": 0, "bareiss": 0}
+    calls, on = [], [True]
+
+    def gcd_or_nothing(polys):
+        calls.append("shortcut")
+        return shortcut(polys) if on[0] else None
+
+    def counted_det(field, rows):
+        seen["bareiss"] += on[0]
+        return det(field, rows)
+
+    monkeypatch.setattr(verify, "_resultant_gcd", gcd_or_nothing)
+    monkeypatch.setattr(mpoly, "bivariate_gcd", lambda fs: calls.append("fallback") or bgcd(fs))
+    monkeypatch.setattr(upoly, "det", counted_det)
+
+    def both(fn, F):
+        del calls[:]
+        got = fn(F)
+        if calls:
+            seen[calls[-1]] += 1  # the fallback starts with the bivariate gcd
+        on[0] = False
+        want = fn(F)
+        on[0] = True
+        assert got == want, str(F)
+        return got
+
+    def nondegenerate(F):
+        return check_nondegenerate(mpoly.dehomogenize(F, 2)).to_json()
+
+    def sparse(R, rng):
+        field = R.coeff_ring
+        return R.from_terms(((a, b, 4 - a - b), field.element_at(rng.randrange(1, field.q)))
+                            for a in range(5) for b in range(5 - a) if rng.random() < 0.6)
+
+    forms = []
+    for p in (3, 5, 7, 13, 31, 127):
+        R = PolyRing(FqField(p), ("X", "Y", "Z"))
+        rng = random.Random(p)
+        forms += [random_quartic(R, rng) for _ in range(8)] + [sparse(R, rng) for _ in range(8)]
+    # the nodal F_31 quartics: no Z^4, XZ^3 or YZ^3 term, so singular at (0:0:1)
+    R31, rng = PolyRing(FqField(31), ("X", "Y", "Z")), random.Random(3)
+    nodal = [random_quartic(R31, rng, {(0, 0, 4): 0, (1, 0, 3): 0, (0, 1, 3): 0})
+             for _ in range(12)]
+    # and with the node moved to (1:1:1), in the torus, where it is a witness
+    Xp, Yp, Zp = R31.gens()
+    nodal += [substitute(F, [Xp - Zp, Yp - Zp, Zp]) for F in nodal]
+    for F in forms + nodal:
+        if F.total_degree() < 1:
+            continue
+        smooth = both(plane_curve_is_smooth, F)
+        assert not (smooth and F in nodal)
+        failures = both(nondegenerate, F)["failures"]
+        assert F not in nodal[12:] or any(w["face"] == "interior" for w in failures)
+    assert all(seen.values()), seen

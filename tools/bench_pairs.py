@@ -14,8 +14,11 @@ it measured and several series add up.  At the end the tool prints,
 per workload and metric, each side's median and quartiles over all the
 pairs in FILE and, but for the input count, how many pairs the change
 won (ties count for neither side), reading which direction is better
-from the change's ``BENCHMARK.json``.  Without ``--seeds`` it only
-prints that summary.
+from the change's ``BENCHMARK.json``.  Last comes what the pairs cost
+in run length: the k-th pair of every workload, its ``wall_s`` summed
+over the workloads, as each side's median and quartiles and those of
+the change - parent difference.  Without ``--seeds`` it only prints
+that summary.
 """
 
 from __future__ import annotations
@@ -66,6 +69,18 @@ def summary(records, better):
                 wins = sum(sign * (key(c) - key(p)) > 0 for p, c in pairs)
                 text += f"  change better in {wins}/{len(pairs)}"
             print(f"  {name:16s} {text}")
+    # what a pair costs the check: the k-th pair of every workload, wall_s summed
+    workloads = list(dict.fromkeys(r["workload"] for r in records))
+    totals = {side: [sum(walls) for walls in zip(*(
+        [r["wall_s"] for r in records if r["workload"] == w and r["side"] == side]
+        for w in workloads))] for side in SIDES}
+    pairs = list(zip(totals["parent"], totals["change"]))
+    if pairs:
+        cells = [spread([p for p, _ in pairs]), spread([c for _, c in pairs]),
+                 spread([c - p for p, c in pairs])]
+        text = [f"{m:.4g} [{a:.4g}, {b:.4g}]" for m, a, b in cells]
+        print(f"== {' + '.join(workloads)}: {len(pairs)} pairs")
+        print(f"  {'wall_s summed':16s} {text[0]} -> {text[1]}  change - parent {text[2]}")
 
 
 def main(argv=None):
