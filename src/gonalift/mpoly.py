@@ -507,9 +507,11 @@ class PlaneSlices:
 
     Each equation's ``slice_rows`` are converted once to the ``upoly``
     kernel of L, by default the coefficient field: int lists mod p over a
-    prime field, lists of elements otherwise.  Slices and gcds stay in
-    kernel form; callers read only their lengths and which of their
-    coefficients vanish.  Points u0 lie in L; roots are field elements.
+    prime field, lists of elements otherwise.  The same rows give the
+    system's eliminant, its slices at a point and its slices at the roots
+    of a factor of the eliminant.  Slices and gcds stay in kernel form;
+    callers read only their lengths and which of their coefficients
+    vanish.  Points u0 lie in L; the eliminant and roots are field elements.
     """
 
     __slots__ = ("_K", "_rows")
@@ -517,6 +519,25 @@ class PlaneSlices:
     def __init__(self, polys, u, v, L=None):
         K = self._K = upoly._kernel(polys[0].ring.coeff_ring if L is None else L)
         self._rows = [[K.to(row) for row in slice_rows(p, u, v)] for p in polys]
+
+    def eliminant(self):
+        """A nonzero list in u whose roots hold the u of every common zero, or None.
+
+        A v-free equation gives its own row.  Else it is the gcd over F[u]
+        of the nonzero ones among Res_v(p0, p1) and Res_v(p0, p2)
+        (``_resultant_rows``), each in the ideal of its pair; None when
+        both vanish, as they do when p0 shares a factor in v with each.
+        """
+        K, (first, *rest) = self._K, self._rows
+        free = next((rows[0] for rows in self._rows if len(rows) == 1), None)
+        if free is not None:
+            return K.back(free)
+        g = None
+        for rows in rest[:2]:
+            r = _resultant_rows(K, first, rows)
+            if r:
+                g = r if g is None else K.gcd(g, r)
+        return None if g is None else K.back(g)
 
     def _slices(self, u0):
         K = self._K
@@ -638,16 +659,10 @@ def resultant(f, g, var):
     """Sylvester determinant with respect to one variable.
 
     Over a field, when f and g together involve at most one variable u
-    besides ``var``, the entries are univariate in u, and the resultant's
-    u-degree is at most B, the smaller of deg f * deg g and the row bound
-    (each Sylvester row's largest entry degree, summed).  Over F_p with
-    p > B it is interpolated from its values at u = 0, ..., B on the int
-    kernel, each the Euclid resultant of the two slices
-    (``upoly._resultant``) or, where a leading coefficient in ``var``
-    vanishes, the determinant of their Sylvester matrix.  Over any other
-    field (q <= B, or n > 1) it is Bareiss's elimination over F[u]
-    (``upoly.det``); with more variables, or over a ring without
-    division such as the order, the division-free ``linalg.det``.
+    besides ``var``, their coefficient rows in ``var`` go to the field's
+    ``upoly`` kernel and ``_resultant_rows`` takes the resultant there;
+    with more variables, or over a ring without division such as the
+    order, the division-free ``linalg.det``.
     """
     fc, gc = _sylvester_coeffs(f, g, var)
     ring = f.ring
@@ -657,23 +672,38 @@ def resultant(f, g, var):
     # constant entries are univariate in any variable; var does not occur in them
     u = others.pop() if others else var
     field = ring.coeff_ring
+    K = upoly._kernel(field)
 
     def in_u(h):
         out = [field.zero] * (h.degree_in(u) + 1)
         for e, c in h.terms.items():
             out[e[u]] = c
-        return out
+        return K.to(out)
 
-    rows = [[in_u(h) for h in hc] for hc in (fc, gc)]
-    (m, df), (n, dg) = ((len(hc) - 1, max(map(len, hc)) - 1) for hc in rows)
-    bound = min(f.total_degree() * g.total_degree(), n * df + m * dg)
-    if field.n == 1 and field.p > bound:
-        K = upoly._kernel(field)
-        r = K.back(_evaluated_resultant(K, *([K.to(c) for c in hc] for hc in rows), bound))
-    else:
-        r = upoly.det(field, _sylvester_rows(*rows, []))
+    r = K.back(_resultant_rows(K, [in_u(h) for h in fc], [in_u(h) for h in gc]))
     return MPoly(ring, {tuple(i if j == u else 0 for j in range(ring.nvars)): c
                         for i, c in enumerate(r) if c})
+
+
+def _resultant_rows(K, fr, gr):
+    """Res_v of two equations given by their rows in kernel form (``PlaneSlices``), as a list in u.
+
+    Its u-degree is at most B, the smaller of the product of the total
+    degrees and the row bound (each Sylvester row's largest entry degree,
+    summed).  Over F_p with p > B it is interpolated from its values at
+    u = 0, ..., B, each the Euclid resultant of the two slices
+    (``upoly._resultant``) or, where a leading coefficient in v vanishes,
+    the determinant of their Sylvester matrix; over any other field
+    (q <= B, or n > 1) it is Bareiss's elimination over F[u] (``upoly._det``).
+    """
+    def degrees(r):  # in v, the largest in u, and the total degree
+        return len(r) - 1, max(map(len, r)) - 1, max(k + len(c) - 1 for k, c in enumerate(r) if c)
+
+    (m, df, tf), (n, dg, tg) = degrees(fr), degrees(gr)
+    bound = min(tf * tg, n * df + m * dg)
+    if K.n == 1 and K.p > bound:
+        return _evaluated_resultant(K, fr, gr, bound)
+    return upoly._det(K, _sylvester_rows(fr, gr, []))
 
 
 def _evaluated_resultant(K, fr, gr, bound):

@@ -8,17 +8,17 @@ root/factor routines, ``q``, ``p``, ``n``, ``element_at`` and
 ``index_of``; in the package that is ``ff.FqField``, prime or flat
 F_{p^n}.
 
-Root finding, gcd, modular powers, irreducibility, factoring and the
-determinant ``det`` run on one kernel per field kind: over a prime
-field the polynomials become int lists mod p once, on the way in, and
-field elements again on the way out (``_Ints``); over every other field
-they stay lists of elements (``_Elements``).  Both kernels offer the
-same methods (``sub``, ``mul``, ``divmod``, ``rem``, ``gcd``,
-``pow_mod``, ...), so each algorithm is written once.  ``det`` is
-Bareiss's fraction-free elimination on a matrix of polynomials in one
-variable, and ``_resultant`` Euclid's resultant; ``mpoly`` computes its
-Sylvester resultants with the first over small fields and interpolates
-them from values of the second (``_vinterpolate``) over larger F_p.
+Root finding, gcd, modular powers, irreducibility and factoring run
+on one kernel per field kind: over a prime field the polynomials become
+int lists mod p once, on the way in, and field elements again on the
+way out (``_Ints``); over every other field they stay lists of elements
+(``_Elements``).  Both kernels offer the same methods (``sub``, ``mul``,
+``divmod``, ``rem``, ``gcd``, ``pow_mod``, ...), so each algorithm is
+written once.  ``_det`` is Bareiss's fraction-free elimination on a
+matrix of kernel lists in one variable, and ``_resultant`` Euclid's
+resultant; ``mpoly`` computes its Sylvester resultants, on kernel rows,
+with the first over small fields and interpolates them from values of
+the second (``_vinterpolate``) over larger F_p.
 Modular powers over F_p keep the polynomial as one int with a slot per
 coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
 a single big-int product.
@@ -26,10 +26,11 @@ a single big-int product.
 Roots have one entry on the kernel, ``_roots``, and root counts one,
 ``_count_roots``: ``roots`` and ``count_roots`` convert their input and
 call them.  Outside this module only ``mpoly`` works in kernel form: its
-bivariate gcd, and ``mpoly.PlaneSlices``, which holds the plane slices
-that point search and the certificates solve, folds their gcds at a
-point or over F_q[x]/(m), and calls ``_roots`` and ``_count_roots`` on
-them, so over F_p a slice stays on ints from its rows to its roots.
+bivariate gcd and resultants, and ``mpoly.PlaneSlices``, which holds the
+plane slices that point search and the certificates solve, eliminates
+their second variable, folds their gcds at a point or over F_q[x]/(m),
+and calls ``_roots`` and ``_count_roots`` on them, so over F_p a slice
+stays on ints from its rows to its roots.
 
 Over F_p with p below ``_SCAN_CAP`` the roots in F_p itself are not
 split off at all: ``_scan`` evaluates the polynomial at every x in F_p
@@ -239,22 +240,15 @@ def _resultant(K, a, b):
     return K.sub([], acc) if negate else acc
 
 
-def det(field, rows):
-    """Determinant of a square matrix of univariate polynomials over a field.
+def _det(K, m):
+    """Determinant of a square matrix of lists in u, in the form of K, which it overwrites.
 
-    Entries and result are coefficient lists in one variable u.  Bareiss's
-    fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968) keeps
-    every entry in F[u]: after step k each entry below row k is a minor
-    of order k + 1, so the division by the previous pivot is exact.  A
-    row swap flips the sign, and a column with no nonzero entry on or
+    Bareiss's fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968)
+    keeps every entry in F[u]: after step k each entry below row k is a
+    minor of order k + 1, so the division by the previous pivot is exact.
+    A row swap flips the sign, and a column with no nonzero entry on or
     below the diagonal makes the determinant zero.
     """
-    K = _kernel(field)
-    return K.back(_det(K, [[K.to(c) for c in row] for row in rows]))
-
-
-def _det(K, m):
-    """``det`` on a matrix of lists in the form of K, which it overwrites."""
     n = len(m)
     negate = False
     prev = None

@@ -10,10 +10,10 @@ independently:
   reproduce the reduction of the lift coefficient for coefficient;
 * ``check_nondegenerate`` certifies nondegeneracy with respect to the
   Newton polygon by resultant/gcd elimination, never by enumerating
-  field elements, so a pass is a proof.  Like ``plane_curve_is_smooth``
-  it first tries the gcd of two resultants (``_resultant_gcd``); only
-  when that leaves a common zero possible does an eliminant's
-  factorization decide, and give every failure and witness;
+  field elements, so a pass is a proof.  It and ``plane_curve_is_smooth``
+  run one pipeline on the system's ``mpoly.PlaneSlices``: the gcd of two
+  resultants as the eliminant (``_eliminant``), its irreducible
+  factors, and the gcd of the slices at the roots of each;
 * ``sample_birational`` pushes points of the original model through the
   trail, read once for all of them, and evaluates the lift mod p there;
 * ``toric_point_count`` counts points of the smooth toric
@@ -26,6 +26,7 @@ violated preconditions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -103,101 +104,62 @@ def _edge_coeffs(f: MPoly, v0, v1):
                        for i in range(steps + 1)])
 
 
-def _candidate_eliminant(polys):
-    """A nonzero univariate in x whose roots cover every common zero.
+def _eliminant(slices, polys):
+    """(e, None), e a nonzero list in x whose roots hold the x of every common zero,
+    or (None, h), h a nonconstant common factor of ``polys``.
 
-    Precondition: the common zero set of ``polys`` is finite (no common
-    factor).  When pairwise resultants all vanish the shared factor is
-    split off and both halves are handled recursively, so the result
-    stays a proof without ever enumerating field elements.
+    e is ``slices.eliminant()``, from the system's ``PlaneSlices``, unless
+    both of its resultants vanish.  Only then can a factor that involves y
+    be shared, so only then is the gcd taken.  When that is constant, p0
+    and p1 still share a factor h: the system splits into [h] + rest and
+    [p0/h, p1/h] + rest, and the product of their eliminants stays a proof
+    without ever enumerating field elements.
     """
-    field = polys[0].ring.coeff_ring
-    polys = [p for p in polys if p]
-    for p in polys:
-        if p.degree_in(1) == 0:
-            return mpoly.slice_rows(p, 0, 1)[0]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            r = mpoly.resultant(polys[i], polys[j], 1)
-            if r:
-                return mpoly.slice_rows(r, 0, 1)[0]
-    if len(polys) < 2:
-        raise InputError("eliminant of a positive-dimensional system")
+    e = slices.eliminant()
+    if e is not None:
+        return e, None
+    h = mpoly.bivariate_gcd(polys)
+    if h.total_degree() >= 1:
+        return None, h
     h = mpoly.bivariate_gcd(polys[:2])
-    a = mpoly.divide_exact(polys[0], h)
-    b = mpoly.divide_exact(polys[1], h)
-    rest = polys[2:]
-    e1 = _candidate_eliminant([h] + rest)
-    e2 = _candidate_eliminant([a, b] + rest)
-    return upoly.mul(field, e1, e2)
+    halves = ([h] + polys[2:], [mpoly.divide_exact(p, h) for p in polys[:2]] + polys[2:])
+    return upoly.mul(polys[0].ring.coeff_ring, *(
+        _eliminant(mpoly.PlaneSlices(half, 0, 1), half)[0] for half in halves)), None
 
 
-def _fibres(polys):
-    """(m, common) for each irreducible factor m of the eliminant of ``polys``.
+def _fibres(slices, e):
+    """(m, slices.gcd_mod(m)) for each monic irreducible factor m of the eliminant e.
 
-    common is the gcd over F_q[x]/(m) of the nonzero slices p(alpha, y),
-    alpha a root of m, from one ``mpoly.PlaneSlices`` for all factors: its
-    roots are the y-coordinates of the common zeros above the roots of m.
-    None when every slice vanishes: the vertical line is a common zero.
+    The gcd's roots are the y-coordinates of the common zeros above the
+    roots of m; it is None when every slice vanishes there.
     """
-    r = _candidate_eliminant(polys)
-    if upoly.degree(r) < 1:
-        return
-    _, pieces = upoly.factor(polys[0].ring.coeff_ring, r)
-    slices = mpoly.PlaneSlices(polys, 0, 1)
-    for m, _mult in pieces:
-        yield m, slices.gcd_mod(m)
-
-
-def _resultant_gcd(polys):
-    """gcd over F_q[x] of Res_y(polys[0], p) for p in polys[1:3], in ``upoly`` kernel form.
-
-    Each resultant lies in the ideal of its pair, so the x of a common
-    zero is a root of the gcd.  None when polys[0] is free of y or a
-    resultant vanishes: then it proves nothing.
-    """
-    F = polys[0]
-    if F.degree_in(1) < 1:
-        return None
-    K = upoly._kernel(F.ring.coeff_ring)
-    g = None
-    for P in polys[1:3]:
-        r = mpoly.resultant(F, P, 1)
-        if not r:
-            return None
-        r = K.to(mpoly.slice_rows(r, 0, 1)[0])
-        g = r if g is None else K.gcd(g, r)
-    return g
+    if len(e) < 2:
+        return ()
+    return ((m, slices.gcd_mod(m)) for m, _mult in upoly.factor(e[-1].field, e)[1])
 
 
 def _interior_failures(F: MPoly):
     """Witnesses against nondegeneracy on the two-dimensional face."""
-    Fx = mpoly.derivative(F, 0)
-    Fy = mpoly.derivative(F, 1)
-    actives = [D for D in (Fx, Fy) if D]
-    if not actives:
+    system = [F] + [D for D in (mpoly.derivative(F, 0), mpoly.derivative(F, 1)) if D]
+    if len(system) == 1:
         return [{"face": "interior", "reason": "the face polynomial is a p-th power"}]
-    g = _resultant_gcd([F] + actives)
-    if g is not None and not any(g[:-1]):
-        return []  # the gcd is c x^k: no common zero off x = 0, so none in the torus
-    g = _strip_monomial_content(mpoly.bivariate_gcd([F] + actives))
-    if g.total_degree() >= 1:
-        return [{"face": "interior", "reason": "singular along a whole component",
-                 "witness": str(g)}]
+    slices = mpoly.PlaneSlices(system, 0, 1)
+    e, h = _eliminant(slices, system)
     fails = []
-    for m, common in _fibres([F] + actives):
-        if upoly.degree(m) == 1 and not m[0]:
-            continue  # x = 0 lies outside the torus
-        witness = {"face": "interior", "x_min_poly": [list(cf.coeffs) for cf in m]}
-        if common is None:
-            witness["reason"] = "the face vanishes on a vertical line"
-            fails.append(witness)
-            continue
-        while not common[0]:
-            common = common[1:]  # roots at y = 0 lie outside the torus
-        if len(common) > 1:
-            witness["reason"] = "common torus root of the face and its torus derivatives"
-            fails.append(witness)
+    if e is not None:
+        k = next(i for i, c in enumerate(e) if c)  # x = 0 lies outside the torus
+        for m, common in _fibres(slices, e[k:]):
+            if common is None:  # m divides F, F_x and F_y: a whole component
+                h = mpoly.bivariate_gcd(system)
+                break
+            while not common[0]:
+                common = common[1:]  # roots at y = 0 lie outside the torus
+            if len(common) > 1:
+                fails.append({"face": "interior", "x_min_poly": [list(cf.coeffs) for cf in m],
+                              "reason": "common torus root of the face and its torus derivatives"})
+    if h is not None:
+        return [{"face": "interior", "reason": "singular along a whole component",
+                 "witness": str(h)}]
     return fails
 
 
@@ -230,11 +192,11 @@ def check_nondegenerate(fbar: MPoly) -> Nondegeneracy:
 def common_affine_zero_exists(polys) -> bool:
     """Whether bivariate polynomials share an affine zero over the closure.
 
-    Decided by exact elimination, never by enumerating field elements:
-    a constant ``_resultant_gcd`` rules out every common zero; else a
-    nonconstant gcd is a whole curve of common zeros; otherwise the
-    common zeros have x-coordinates among the roots of the eliminant, and
-    each irreducible factor m of it is inspected through a gcd of the
+    Decided by exact elimination, never by enumerating field elements,
+    on one ``mpoly.PlaneSlices`` of the system: a nonconstant common
+    factor is a whole curve of common zeros; otherwise the common zeros
+    have x-coordinates among the roots of the eliminant (``_eliminant``),
+    and each irreducible factor m of it is inspected through a gcd of the
     slices over F_q[x]/(m), with coefficients reduced mod m.
     """
     polys = [p for p in polys if p]
@@ -244,13 +206,10 @@ def common_affine_zero_exists(polys) -> bool:
         raise InputError("the common-zero test works on plane systems")
     if any(p.total_degree() == 0 for p in polys):
         return False
-    g = _resultant_gcd(polys)
-    if g is not None and len(g) == 1:
-        return False
-    g = mpoly.bivariate_gcd(polys)
-    if g.total_degree() >= 1:
-        return True
-    return any(common is None or len(common) > 1 for _m, common in _fibres(polys))
+    slices = mpoly.PlaneSlices(polys, 0, 1)
+    e, h = _eliminant(slices, polys)
+    return h is not None or any(common is None or len(common) > 1
+                                for _m, common in _fibres(slices, e))
 
 
 def plane_curve_is_smooth(F: MPoly) -> bool:
@@ -265,11 +224,10 @@ def plane_curve_is_smooth(F: MPoly) -> bool:
     * the line Z = 0 with Y = 1, where the restrictions x -> g(x, 1, 0)
       share a root exactly when their gcd is nonconstant (when they all
       vanish, the whole line is singular, (1:0:0) included);
-    * the chart Z != 0, decided by ``common_affine_zero_exists``: smooth
-      at once when Res_y(F, F_X) and Res_y(F, F_Y) have a constant gcd
-      (interpolated over F_p with p above their degree bound,
-      ``mpoly.resultant``), else by the eliminant's factors, which so
-      give every singular verdict.
+    * the chart Z != 0, decided by ``common_affine_zero_exists`` from the
+      gcd of Res_y(F, F_X) and Res_y(F, F_Y) (``PlaneSlices.eliminant``,
+      interpolated over F_p with p above their degree bound): smooth at
+      once when it is constant, else decided by its factors.
 
     Each piece is an exact decision over the algebraic closure; no field
     element is enumerated.
@@ -594,9 +552,10 @@ class LiftReport:
 
         A target named in ``polygon.FORCED_ZEROS`` must store that table's
         vertices, since ``polygon_containment`` checks the stored ones.
-        No term of ``f`` or of the input may have a total degree above 4
-        for the kind "quartic", else above the largest a + b of a target
-        vertex: it would only fail a check, after work that grows with it.
+        No term of ``f``, of the input or of a ``substitute`` step's images
+        and point map may have a total degree above 4 for the kind
+        "quartic", else above the largest a + b of a target vertex: it
+        would only fail a check, after work that grows with it.
         """
         if not isinstance(data, dict) or data.get("schema") != "v1":
             raise InputError("unknown report schema")
@@ -622,9 +581,15 @@ class LiftReport:
                 and report.target_vertices != polygon.target(report.target).vertices):
             raise InputError(f"the stored vertices of target {report.target!r} "
                              "are not the table's")
+        try:
+            stored = [mpoly.from_dict(d, field) for step in report.trail
+                      if step.get("kind") == "substitute"
+                      for d in [*step["images"], *itertools.chain(*step.get("point_map", ()))]]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise InputError(f"malformed trail: {exc!r}") from None
         bound = 4 if report.input_kind == "quartic" else max(
             (a + b for a, b in report.target_vertices), default=0)
-        if any(h.total_degree() > bound for h in [report.f, *report.input_gens]):
+        if any(h.total_degree() > bound for h in [report.f, *report.input_gens, *stored]):
             raise InputError(f"a stored term has a degree above {bound}, the bound of "
                              f"kind {report.input_kind!r} and target {report.target!r}")
         return report

@@ -63,12 +63,13 @@ def test_dump_outputs_is_reproducible_json():
 
 
 def test_bench_pairs_summarises_the_recorded_pairs(tmp_path):
-    def record(side, seed, certify_s, peak, workload="quartic-prime", wall_s=80.0):
+    def record(side, seed, certify_s, peak, workload="quartic-prime", wall_s=80.0, failed=0):
         return {"side": side, "seed": seed, "workload": workload, "inputs": 900,
-                "wall_s": wall_s, "metrics": {"certify_s": certify_s, "peak_rss_mb": peak}}
+                "failed": failed, "wall_s": wall_s,
+                "metrics": {"certify_s": certify_s, "peak_rss_mb": peak}}
 
-    runs = [record("parent", 1, 0.020, 19.0), record("change", 1, 0.015, 19.1),
-            record("change", 2, 0.016, 18.9), record("parent", 2, 0.019, 19.0),
+    runs = [record("parent", 1, 0.020, 19.0), record("change", 1, 0.015, 19.1, failed=3),
+            record("change", 2, 0.016, 18.9, failed=1), record("parent", 2, 0.019, 19.0),
             record("parent", 1, 0.021, 19.0, "quartic-small", 60.0),
             record("change", 1, 0.014, 19.0, "quartic-small", 66.0),
             record("change", 2, 0.014, 19.0, "quartic-small", 64.0),
@@ -83,6 +84,11 @@ def test_bench_pairs_summarises_the_recorded_pairs(tmp_path):
     blocks = done.stdout.split("== ")[1:]
     lines = {line.split()[0]: line for line in blocks[0].splitlines()}
     assert lines["quartic-prime:"] == "quartic-prime: 2 pairs"
+    # each side's failed inputs, beside the inputs, with no count of wins
+    assert lines["inputs"].split() == ["inputs", "900", "[900,", "900]", "->",
+                                       "900", "[900,", "900]"]
+    assert lines["failed"].split() == ["failed", "0", "[0,", "0]", "->", "2", "[1.5,", "2.5]"]
+    assert list(lines).index("failed") == list(lines).index("inputs") + 1
     assert lines["certify_s"].endswith("change better in 2/2")
     assert lines["peak_rss_mb"].endswith("change better in 1/2")
     assert blocks[1].startswith("quartic-small: 2 pairs")

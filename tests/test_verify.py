@@ -493,8 +493,10 @@ def test_stored_target_must_be_the_tables():
 
 
 def test_stored_terms_above_the_degree_bound_are_refused():
-    # one term of x-degree 10^6 in f or in the input kept run_checks running
-    # for minutes; from_json now refuses it before any work
+    # a term of x-degree 10^6 in f or in the input kept run_checks running
+    # for minutes, and one in a stored substitute step's image or point map
+    # (x -> x, y -> y, with x sent to x^(10^6) + x) for seconds; from_json
+    # now refuses each before any work
     F = random_smooth_quartic(PolyRing(FqField(31), ("X", "Y", "Z")), random.Random(5))
     data = lift_genus3(Genus3Input(F)).to_json()
     huge = {"e": [10 ** 6, 0], "c": [1, 0]}
@@ -502,18 +504,40 @@ def test_stored_terms_above_the_degree_bound_are_refused():
     quartic = data["input"][0]
     bad_input = dict(data, input=[dict(quartic, terms=quartic["terms"] + [
         {"e": [10 ** 6, 0, 0], "c": [1]}])])
-    for bad in (bad_f, bad_input):
+
+    def poly(*exponents):
+        return {"vars": ["x", "y"], "terms": [{"e": list(e), "c": [1]} for e in exponents]}
+
+    one, x, y, big = poly((0, 0)), poly((1, 0)), poly((0, 1)), poly((10 ** 6, 0), (1, 0))
+    identity = {"kind": "substitute", "images": [x, y], "point_map": [[x, one], [y, one]]}
+    assert overall_status(run_checks(LiftReport.from_json(
+        dict(data, trail=data["trail"] + [identity])), samples=4)) == "pass"
+    bad_steps = [dict(identity, point_map=[[big, one], [y, one]]),
+                 dict(identity, point_map=[[x, one], [y, big]]),
+                 dict(identity, images=[big, y])]
+    for bad in [bad_f, bad_input] + [dict(data, trail=data["trail"] + [b]) for b in bad_steps]:
         t0 = time.perf_counter()
         with pytest.raises(InputError, match="degree above 4"):
             LiftReport.from_json(bad)
         assert time.perf_counter() - t0 < 1
-    # the bound is the kind's, 4 for a quartic, else the target's largest degree
+    with pytest.raises(InputError):
+        LiftReport.from_json(dict(data, trail=data["trail"] + [{"kind": "substitute"}]))
+    # the bound is the kind's, 4 for a quartic, else the target's largest
+    # degree, 7 for the g6 report, whose trail polynomials reach degree 3
     assert LiftReport.from_json(data).f.total_degree() == 4
     g6_data = g6.report().to_json()
     assert LiftReport.from_json(g6_data).target == "rectangle 4x3"
     with pytest.raises(InputError, match="degree above 7"):
         LiftReport.from_json(dict(g6_data, f=dict(g6_data["f"], terms=g6_data["f"]["terms"] + [
             {"e": [4, 4], "c": [1]}])))
+    step = next(s for s in g6_data["trail"] if s["kind"] == "substitute")
+    image = step["images"][0]
+    image = dict(image, terms=image["terms"] + [
+        {"e": [8] + [0] * (len(image["vars"]) - 1), "c": image["terms"][0]["c"]}])
+    bad = dict(step, images=[image] + step["images"][1:])
+    with pytest.raises(InputError, match="degree above 7"):
+        LiftReport.from_json(dict(g6_data, trail=[bad if s is step else s
+                                                  for s in g6_data["trail"]]))
 
 
 def test_sample_birational_rejects_a_stored_seed_that_seeds_nothing():
@@ -727,10 +751,13 @@ def test_common_zero_decisions_build_no_field(monkeypatch):
 
 
 def test_eliminant_factors_share_one_set_of_slices(monkeypatch):
-    # the system's slice rows are built once, after the eliminant is
-    # factored, and every irreducible factor reduces those same rows
-    factors, rows_of = [], []
+    # the system's slice rows are built once, into one PlaneSlices: they give
+    # the eliminant, here a gcd of two resultants with three irreducible
+    # factors, and every factor reduces those same rows
+    factors, rows_of, made, used = [], [], [], []
     factor, slice_rows = upoly.factor, mpoly.slice_rows
+    init, eliminant, gcd_mod = (mpoly.PlaneSlices.__init__, mpoly.PlaneSlices.eliminant,
+                                mpoly.PlaneSlices.gcd_mod)
 
     def counted_factor(field, a):
         out = factor(field, a)
@@ -738,53 +765,31 @@ def test_eliminant_factors_share_one_set_of_slices(monkeypatch):
         return out
 
     def counted_rows(f, u, v):
-        if factors:
-            rows_of.append(f)
+        rows_of.append(f)
         return slice_rows(f, u, v)
 
     monkeypatch.setattr(upoly, "factor", counted_factor)
     monkeypatch.setattr(mpoly, "slice_rows", counted_rows)
-    f = Y**3 + X**3 * Y + X + 1
+    monkeypatch.setattr(mpoly.PlaneSlices, "__init__",
+                        lambda self, *args: made.append(self) or init(self, *args))
+    monkeypatch.setattr(mpoly.PlaneSlices, "eliminant",
+                        lambda self: used.append(self) or eliminant(self))
+    monkeypatch.setattr(mpoly.PlaneSlices, "gcd_mod",
+                        lambda self, m: used.append(self) or gcd_mod(self, m))
+    f = Y**3 + 2 * X**3 + 3 * X * Y + 4
     assert check_nondegenerate(f).ok
-    assert len(factors) == 1 and len(factors[0]) >= 2
+    assert len(factors) == 1 and len(factors[0]) == 3
     assert rows_of == [f, mpoly.derivative(f, 0), mpoly.derivative(f, 1)]
+    assert len(made) == 1 and used == made * 4
 
 
-def test_resultant_shortcut_agrees_with_the_per_factor_path(monkeypatch):
-    # plane_curve_is_smooth and check_nondegenerate first try the gcd of two
-    # resultants (verify._resultant_gcd); with it switched off, the per-factor
-    # path decides alone, and the two must agree on every form
+def elimination_verdicts():
+    """(group, verdicts) of 8 random and 8 sparse quartics per field, 24 nodal ones and 3 more.
+
+    The verdicts are ``plane_curve_is_smooth`` and ``check_nondegenerate``
+    on the form dehomogenised at Z, as JSON; null for a form of degree 0.
+    """
     from fixtures import random_quartic
-    from gonalift.verify import plane_curve_is_smooth
-    shortcut, bgcd, det = verify._resultant_gcd, mpoly.bivariate_gcd, upoly.det
-    seen = {"shortcut": 0, "fallback": 0, "bareiss": 0}
-    calls, on = [], [True]
-
-    def gcd_or_nothing(polys):
-        calls.append("shortcut")
-        return shortcut(polys) if on[0] else None
-
-    def counted_det(field, rows):
-        seen["bareiss"] += on[0]
-        return det(field, rows)
-
-    monkeypatch.setattr(verify, "_resultant_gcd", gcd_or_nothing)
-    monkeypatch.setattr(mpoly, "bivariate_gcd", lambda fs: calls.append("fallback") or bgcd(fs))
-    monkeypatch.setattr(upoly, "det", counted_det)
-
-    def both(fn, F):
-        del calls[:]
-        got = fn(F)
-        if calls:
-            seen[calls[-1]] += 1  # the fallback starts with the bivariate gcd
-        on[0] = False
-        want = fn(F)
-        on[0] = True
-        assert got == want, str(F)
-        return got
-
-    def nondegenerate(F):
-        return check_nondegenerate(mpoly.dehomogenize(F, 2)).to_json()
 
     def sparse(R, rng):
         field = R.coeff_ring
@@ -795,7 +800,8 @@ def test_resultant_shortcut_agrees_with_the_per_factor_path(monkeypatch):
     for p in (3, 5, 7, 13, 31, 127):
         R = PolyRing(FqField(p), ("X", "Y", "Z"))
         rng = random.Random(p)
-        forms += [random_quartic(R, rng) for _ in range(8)] + [sparse(R, rng) for _ in range(8)]
+        forms += [(f"F_{p}", random_quartic(R, rng)) for _ in range(8)]
+        forms += [(f"F_{p}", sparse(R, rng)) for _ in range(8)]
     # the nodal F_31 quartics: no Z^4, XZ^3 or YZ^3 term, so singular at (0:0:1)
     R31, rng = PolyRing(FqField(31), ("X", "Y", "Z")), random.Random(3)
     nodal = [random_quartic(R31, rng, {(0, 0, 4): 0, (1, 0, 3): 0, (0, 1, 3): 0})
@@ -803,11 +809,88 @@ def test_resultant_shortcut_agrees_with_the_per_factor_path(monkeypatch):
     # and with the node moved to (1:1:1), in the torus, where it is a witness
     Xp, Yp, Zp = R31.gens()
     nodal += [substitute(F, [Xp - Zp, Yp - Zp, Zp]) for F in nodal]
-    for F in forms + nodal:
-        if F.total_degree() < 1:
-            continue
-        smooth = both(plane_curve_is_smooth, F)
-        assert not (smooth and F in nodal)
-        failures = both(nondegenerate, F)["failures"]
-        assert F not in nodal[12:] or any(w["face"] == "interior" for w in failures)
+    forms += [("nodal", F) for F in nodal]
+    # singular along a whole component: a squared factor free of Y leaves
+    # both resultants nonzero, and one in Y makes both vanish
+    X7, Y7, Z7 = PolyRing(F7, ("X", "Y", "Z")).gens()
+    forms += [("component", (X7 - Z7) ** 2 * (Y7**2 + X7 * Z7 + Z7**2)),
+              ("component", (X7**2 - 3 * Z7**2) ** 2 * (Y7**3 + X7 * Y7 * Z7 + Z7**3)),
+              ("component", (Y7 - X7 - Z7) ** 2 * (X7 + Y7 + Z7))]
+    for group, F in forms:
+        yield group, None if F.total_degree() < 1 else [
+            verify.plane_curve_is_smooth(F),
+            check_nondegenerate(mpoly.dehomogenize(F, 2)).to_json()]
+
+
+def elimination_digests(verdicts):
+    """Per group, the SHA-256 of each form's verdicts, as ``elimination_digests.json`` holds.
+
+    Written by ``PYTHONPATH=src:tests python3 -c "import json, test_verify as t;
+    print(json.dumps(t.elimination_digests(t.elimination_verdicts()), indent=1))"
+    > tests/elimination_digests.json``.
+    """
+    import hashlib
+    out = {}
+    for group, v in verdicts:
+        out.setdefault(group, []).append(
+            hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest())
+    return out
+
+
+def test_elimination_verdicts_match_their_digests(monkeypatch):
+    # the smoothness and nondegeneracy verdicts of forms over six fields and
+    # of nodal quartics, pinned before the two proofs shared one eliminant;
+    # the run reaches the resultant eliminant, the bivariate gcd of a system
+    # whose resultants both vanish, and Bareiss's determinant over small F_p
+    from pathlib import Path
+    seen = {"eliminant": 0, "gcd": 0, "bareiss": 0}
+    eliminant, bgcd, det = mpoly.PlaneSlices.eliminant, mpoly.bivariate_gcd, upoly._det
+
+    def counted_eliminant(self):
+        e = eliminant(self)
+        seen["eliminant"] += e is not None
+        return e
+
+    def counted_gcd(fs):
+        seen["gcd"] += 1
+        return bgcd(fs)
+
+    def counted_det(K, m):
+        seen["bareiss"] += any(len(c) > 1 for row in m for c in row)
+        return det(K, m)
+
+    monkeypatch.setattr(mpoly.PlaneSlices, "eliminant", counted_eliminant)
+    monkeypatch.setattr(mpoly, "bivariate_gcd", counted_gcd)
+    monkeypatch.setattr(upoly, "_det", counted_det)
+    verdicts = list(elimination_verdicts())
+    got = elimination_digests(verdicts)
+    want = json.loads((Path(__file__).parent / "elimination_digests.json").read_text())
+    assert [(g, len(ds)) for g, ds in got.items()] == \
+        [(f"F_{p}", 16) for p in (3, 5, 7, 13, 31, 127)] + [("nodal", 24), ("component", 3)]
+    for group, digests in got.items():
+        moved = [i for i, (a, b) in enumerate(zip(want[group], digests)) if a != b]
+        assert not moved, f"{group}: the verdicts of forms {moved} changed"
     assert all(seen.values()), seen
+    # every nodal form is singular, and the 12 with the node in the torus
+    # fail nondegeneracy on the interior face
+    nodal = [v for group, v in verdicts if group == "nodal"]
+    assert not any(smooth for smooth, _ in nodal)
+    assert all(any(w["face"] == "interior" for w in nondeg["failures"])
+               for _, nondeg in nodal[12:])
+
+
+def test_singular_along_a_whole_component():
+    # a squared factor makes the face and both derivatives vanish along a
+    # curve: the first two have nonzero resultants, so the component shows
+    # as a fibre whose slices all vanish; the last, a factor in y, makes both
+    # resultants vanish and is found by the bivariate gcd
+    from gonalift.verify import common_affine_zero_exists
+    cases = [((X - 1) ** 2 * (Y**2 + X + 1), "x + 6"),
+             ((X**2 - 3) ** 2 * (Y**3 + X * Y + 1), "x^2 + 4"),
+             ((Y - X - 1) ** 2 * (X + Y + 1), "x + 6*y + 1")]
+    for f, witness in cases:
+        failures = check_nondegenerate(f).failures
+        assert [w for w in failures if w["face"] == "interior"] == [
+            {"face": "interior", "reason": "singular along a whole component",
+             "witness": witness}]
+        assert common_affine_zero_exists([f, mpoly.derivative(f, 0), mpoly.derivative(f, 1)])

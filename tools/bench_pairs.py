@@ -8,17 +8,17 @@ For every seed and workload, ``bench/run.py --workload W --seed S
 process, the parent first in the workload's even pairs in FILE and the
 change first in its odd ones.  Each run is appended to the JSON list in
 FILE as soon as it ends, with its side, seed, workload, which side went
-first, the input count, the ``wall_s`` its meta line reports and the
-value of every end-to-end metric, so an interrupted series keeps what
-it measured and several series add up.  At the end the tool prints,
-per workload and metric, each side's median and quartiles over all the
-pairs in FILE and, but for the input count, how many pairs the change
-won (ties count for neither side), reading which direction is better
-from the change's ``BENCHMARK.json``.  Last comes what the pairs cost
-in run length: the k-th pair of every workload, its ``wall_s`` summed
-over the workloads, as each side's median and quartiles and those of
-the change - parent difference.  Without ``--seeds`` it only prints
-that summary.
+first, the counts of inputs and of failed inputs, the ``wall_s`` its
+meta line reports and the value of every end-to-end metric, so an
+interrupted series keeps what it measured and several series add up.
+At the end the tool prints, per workload and metric, each side's median
+and quartiles over all the pairs in FILE and, but for the two counts,
+how many pairs the change won (ties count for neither side), reading
+which direction is better from the change's ``BENCHMARK.json``.  Last
+comes what the pairs cost in run length: the k-th pair of every
+workload, its ``wall_s`` summed over the workloads, as each side's
+median and quartiles and those of the change - parent difference.
+Without ``--seeds`` it only prints that summary.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def summary(records, better):
                 for side in SIDES}
         pairs = list(zip(runs["parent"], runs["change"]))
         print(f"== {workload}: {len(pairs)} pairs")
-        for name in ["wall_s", "inputs", *runs["parent"][0]["metrics"]]:
+        for name in ["wall_s", "inputs", "failed", *runs["parent"][0]["metrics"]]:
             def key(r):
                 return r[name] if name in r else r["metrics"][name]
             cells = [spread([key(r) for r, _ in pairs]), spread([key(r) for _, r in pairs])]
