@@ -20,8 +20,8 @@ import functools
 import operator
 
 from . import upoly
-# int lists mod p: the prime-field kernel of upoly, which also does the
-# arithmetic of prime-power fields here and tests their moduli
+# upoly's int-list arithmetic mod p: prime-power fields multiply, invert and
+# test their moduli with it here
 from .upoly import _v_irreducible, _vmul, _vrem, _vtrim, _vxgcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -4,9 +4,9 @@ An ``MPoly`` stores a map from exponent tuples to nonzero coefficients
 and belongs to a ``PolyRing`` (coefficient ring plus variable names).
 Everything is immutable by convention and exact; the coefficient ring
 can be a finite field or the number-ring order.  ``terms`` holds ring
-elements, but the arithmetic runs on the ring's scalar form
-(``_scalars``): coefficients are converted once on entry, and elements
-are built only for the result.
+elements, but the arithmetic runs on scalars of the ring's
+``upoly.kernel``, which the ``PolyRing`` holds: coefficients are
+converted once on entry, and elements are built only for the result.
 
 The term order used for normalization, leading terms and printing is
 graded lexicographic, everywhere.
@@ -14,11 +14,9 @@ graded lexicographic, everywhere.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from . import linalg, upoly
-from .ff import FqElement
 from .errors import AllZero, InputError, ZeroInput
 
 
@@ -27,14 +25,19 @@ def _glex_key(e):
 
 
 class PolyRing:
-    """Polynomial ring R[names] over an exact coefficient ring R."""
+    """Polynomial ring R[names] over an exact coefficient ring R.
 
-    __slots__ = ("coeff_ring", "names", "nvars")
+    ``kernel`` is R's ``upoly.kernel``, on whose scalars every ``MPoly``
+    of the ring computes.
+    """
+
+    __slots__ = ("coeff_ring", "names", "nvars", "kernel")
 
     def __init__(self, coeff_ring, names):
         self.coeff_ring = coeff_ring
         self.names = tuple(names)
         self.nvars = len(self.names)
+        self.kernel = upoly.kernel(coeff_ring)
 
     def __eq__(self, other):
         if self is other:
@@ -67,8 +70,8 @@ class PolyRing:
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, term_iter):
-        K = _scalars(self.coeff_ring)
-        pairs = [(tuple(int(x) for x in e), K.to(self.coeff_ring.element(c)))
+        K = self.kernel
+        pairs = [(tuple(int(x) for x in e), K.scalar(self.coeff_ring.element(c)))
                  for e, c in term_iter]
         for e, _ in pairs:
             if len(e) != self.nvars or any(x < 0 for x in e):
@@ -80,93 +83,6 @@ class PolyRing:
             return self.names.index(name)
         except ValueError:
             raise InputError(f"no variable named {name!r}") from None
-
-
-class _Scalars:
-    """A coefficient ring's scalar form, the one interface MPoly computes on.
-
-    Over F_p a scalar is an int, reduced mod p only by ``norm``, so once
-    at the end of an operation; over F_{p^n} with n > 1 it is the
-    coefficient tuple under the field's own ``_add`` and ``_mul``; over
-    the order it is the element itself.  ``to`` takes an element of the
-    ring, or of a subfield that embeds in it, to a scalar, and ``back``
-    a reduced scalar to an element.
-    """
-
-    __slots__ = ("ring", "to", "add", "mul", "norm", "back", "zero", "one", "_pad")
-
-    def __init__(self, ring):
-        self.ring, self.add, self.mul = ring, operator.add, operator.mul
-        if not getattr(ring, "is_field", False):
-            self.to = self.norm = self.back = lambda c: c
-            self.zero, self.one = ring.zero, ring.one
-        elif ring.n == 1:
-            self.to, self.norm = lambda c: c.coeffs[0], ring.p.__rmod__
-            self.back = lambda s: FqElement(ring, (s,))
-            self.zero, self.one = 0, 1
-        else:
-            self.to, self.norm = self._vector, lambda s: s
-            self.back = functools.partial(FqElement, ring)
-            self.add, self.mul = ring._add, ring._mul
-            self.zero, self.one = ring.zero.coeffs, ring.one.coeffs
-            self._pad = (0,) * (ring.n - 1)
-
-    def _vector(self, c):
-        if c.field is self.ring:
-            return c.coeffs
-        if c.field.n == 1 and c.field.p == self.ring.p:
-            return c.coeffs + self._pad  # the prime subfield, padded
-        return self.ring.element(c).coeffs
-
-    def reduce(self, d):
-        """The map of scalars d reduced, without its zeros."""
-        norm, zero = self.norm, self.zero
-        return {e: r for e, s in d.items() if (r := norm(s)) != zero}
-
-    def terms(self, d):
-        """The map of scalars d as MPoly terms."""
-        back = self.back
-        return {e: back(s) for e, s in self.reduce(d).items()}
-
-    def evaluate(self, exps, terms, xs):
-        """The sum of the (exponent, scalar) pairs ``terms`` at the scalars xs, unreduced.
-
-        Each value's powers are built once, up to the largest of its
-        exponents in ``exps``, the terms' exponent tuples.
-        """
-        mul, add = self.mul, self.add
-        # no terms means no exponents, so no powers
-        powers = [self.powers(x, k) for x, k in zip(xs, map(max, zip(*exps)))]
-        acc = self.zero
-        for e, t in terms:
-            for pw, k in zip(powers, e):
-                if k:
-                    t = mul(t, pw[k])
-            acc = add(acc, t)
-        return acc
-
-    def powers(self, x, k):
-        """[1, x, ..., x^k], reduced."""
-        pw = [self.one]
-        for _ in range(k):
-            pw.append(self.norm(self.mul(pw[-1], x)))
-        return pw
-
-
-#: id of a ring -> its scalar form, which keeps the ring, and so its id, alive;
-#: a few suffice, since a lift's reduction lies over the curve's own field
-#: (``OkRing.for_field``), so the curves over one field share one form
-_FORMS = {}
-
-
-def _scalars(ring):
-    """The scalar form of a coefficient ring, built once per ring object."""
-    form = _FORMS.get(id(ring))
-    if form is None:
-        if len(_FORMS) > 8:
-            _FORMS.clear()
-        form = _FORMS[id(ring)] = _Scalars(ring)
-    return form
 
 
 def _collect(K, pairs):
@@ -250,8 +166,8 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        K = _scalars(self.ring.coeff_ring)
-        return MPoly(self.ring, K.terms(_collect(K, ((e, K.to(c)) for f in (self, o)
+        K = self.ring.kernel
+        return MPoly(self.ring, K.terms(_collect(K, ((e, K.scalar(c)) for f in (self, o)
                                                      for e, c in f.terms.items()))))
 
     __radd__ = __add__
@@ -275,8 +191,8 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        K = _scalars(self.ring.coeff_ring)
-        to = K.to
+        K = self.ring.kernel
+        to = K.scalar
         return MPoly(self.ring, K.terms(_product(
             K, {e: to(c) for e, c in self.terms.items()},
             {e: to(c) for e, c in o.terms.items()})))
@@ -296,8 +212,8 @@ class MPoly:
         return result
 
     def scale(self, c):
-        K = _scalars(self.ring.coeff_ring)
-        to, mul = K.to, K.mul
+        K = self.ring.kernel
+        to, mul = K.scalar, K.mul
         c = to(self.ring.coeff_ring.element(c))
         return MPoly(self.ring, K.terms({e: mul(to(x), c) for e, x in self.terms.items()}))
 
@@ -312,26 +228,25 @@ class MPoly:
         """Full evaluation in ``into``, or in the coefficient ring.
 
         Every value is coerced into that ring once, and the sum is taken
-        in its scalar form (``_scalars``): an int mod p over F_p, into
-        which each coefficient goes as it is; a coefficient tuple over
-        F_{p^n}, with an F_p coefficient padded straight into it
-        (``_Scalars.evaluate``).  A curve restricted to a line is
-        ``substitute``'s.
+        on the scalars of its ``upoly.kernel``: an int mod p over F_p,
+        into which each coefficient goes as it is; a coefficient tuple
+        over F_{p^n}, with an F_p coefficient padded straight into it.
+        A curve restricted to a line is ``substitute``'s.
         """
         ring = into if into is not None else self.ring.coeff_ring
         if len(values) != self.ring.nvars:
             raise InputError("wrong number of values")
-        K = _scalars(ring)
-        to = K.to
+        K = self.ring.kernel if into is None else upoly.kernel(into)
+        to = K.scalar
         xs = [to(ring.element(v)) for v in values]
         terms = ((e, to(c)) for e, c in self.terms.items())
-        return K.back(K.norm(K.evaluate(self.terms, terms, xs)))
+        return K.element(K.norm(K.evaluate(self.terms, terms, xs)))
 
     def partial_eval(self, assignments):
         """Evaluate some variables; the result keeps the same ring."""
         ring = self.ring.coeff_ring
-        K = _scalars(ring)
-        to, mul = K.to, K.mul
+        K = self.ring.kernel
+        to, mul = K.scalar, K.mul
         powers = {var: K.powers(to(ring.element(v)), max(e[var] for e in self.terms))
                   for var, v in assignments.items()} if self.terms else {}
 
@@ -394,8 +309,8 @@ def substitute(f, images):
     target = images[0].ring
     if any(im.ring != target for im in images):
         raise InputError("images must share one ring")
-    K = _scalars(target.coeff_ring)
-    to = K.to
+    K = target.kernel
+    to = K.scalar
     unit = (0,) * target.nvars
     powers = []
     for im, k in zip(images, map(max, zip(*f.terms))):
@@ -471,8 +386,8 @@ def dehomogenize(f, var):
     """Set variable ``var`` to 1 and remove it from the ring."""
     names = f.ring.names[:var] + f.ring.names[var + 1:]
     ring = PolyRing(f.ring.coeff_ring, names)
-    K = _scalars(ring.coeff_ring)
-    return MPoly(ring, K.terms(_collect(K, ((e[:var] + e[var + 1:], K.to(c))
+    K = ring.kernel
+    return MPoly(ring, K.terms(_collect(K, ((e[:var] + e[var + 1:], K.scalar(c))
                                             for e, c in f.terms.items()))))
 
 
@@ -480,9 +395,10 @@ def dehomogenize(f, var):
 # plane slices
 #
 # Every loop over the slices f(u0, v) of plane equations goes through
-# ``PlaneSlices``, the one place outside ``upoly`` that knows its kernel form.
-# A slice at a point is one Horner pass per row; at the roots of an
-# irreducible m over the kernel's field F it is the rows reduced mod m.
+# ``PlaneSlices``, which holds their rows as polynomials of a field's
+# ``upoly.kernel``.  A slice at a point is one Horner pass per row; at the
+# roots of an irreducible m over the kernel's field F it is the rows
+# reduced mod m.
 
 
 def slice_rows(f, u, v):
@@ -505,19 +421,20 @@ def slice_rows(f, u, v):
 class PlaneSlices:
     """The slices p(u0, v) of plane equations p, supported on variables u and v.
 
-    Each equation's ``slice_rows`` are converted once to the ``upoly``
-    kernel of L, by default the coefficient field: int lists mod p over a
-    prime field, lists of elements otherwise.  The same rows give the
-    system's eliminant, its slices at a point and its slices at the roots
-    of a factor of the eliminant.  Slices and gcds stay in kernel form;
-    callers read only their lengths and which of their coefficients
-    vanish.  Points u0 lie in L; the eliminant and roots are field elements.
+    Each equation's ``slice_rows`` are converted once to polynomials of
+    the ``upoly.kernel`` of L, by default the coefficient field: int lists
+    mod p over a prime field, lists of coefficient tuples over F_{p^n}.
+    The same rows give the system's eliminant, its slices at a point and
+    its slices at the roots of a factor of the eliminant.  Slices and gcds
+    stay in kernel form; callers read only their lengths and which of
+    their coefficients equal the kernel's ``zero``.  Points u0 lie in L;
+    the eliminant and roots are field elements.
     """
 
     __slots__ = ("_K", "_rows")
 
     def __init__(self, polys, u, v, L=None):
-        K = self._K = upoly._kernel(polys[0].ring.coeff_ring if L is None else L)
+        K = self._K = polys[0].ring.kernel if L is None else upoly.kernel(L)
         self._rows = [[K.to(row) for row in slice_rows(p, u, v)] for p in polys]
 
     def eliminant(self):
@@ -567,45 +484,31 @@ class PlaneSlices:
             return None
         if len(g) < 2:
             return []
-        return upoly._roots(self._K.field if L is None else L, self._K, g)
+        return upoly.kernel_roots(self._K.ring if L is None else L, self._K, g)
 
     def count_roots(self, s):
         """Number of distinct roots, in the kernel's field, of a slice s in kernel form."""
-        return upoly._count_roots(self._K, s)
+        return upoly.kernel_count_roots(self._K, s)
 
     def gcd_mod(self, m):
         """``gcd`` at a root of m, over F[u]/(m) in kernel form: no field is built.
 
         m is a monic irreducible list of elements of the kernel's field F,
-        and a slice is its rows reduced mod m.  Euclid runs on
-        pseudo-remainders, each step multiplying by the divisor's leading
-        coefficient and reducing mod m, so nothing grows and no inverse is
-        taken.  The gcd is exact up to a unit of F[u]/(m).
+        and a slice is its rows reduced mod m.  Euclid runs on the
+        fraction-free pseudo-remainders of ``_yprem``, reduced mod m, so no
+        inverse is taken.  The gcd is exact up to a unit of F[u]/(m).
         """
         K = self._K
         m = K.to(m)
 
         def reduced(a):
-            a = [K.rem(c, m) for c in a]
-            while a and not a[-1]:
-                a.pop()
-            return a
-
-        def prem(a, b):
-            db, lb = len(b) - 1, b[-1]
-            while len(a) > db:
-                top, k = a[-1], len(a) - 1 - db
-                # lb * a - top * v^k * b; its top coefficient cancels exactly
-                a = reduced([K.mul(c, lb) for c in a[:k]]
-                            + [K.sub(K.mul(a[k + j], lb), K.mul(top, b[j]))
-                               for j in range(db)])
-            return a
+            return upoly.trim([K.rem(c, m) for c in a])
 
         def gcd(a, b):
             if len(a) < len(b):
                 a, b = b, a
             while len(b) > 1:
-                a, b = b, prem(a, b)
+                a, b = b, reduced(_yprem(K, a, b))
             return b or a
 
         return _gcd_fold(map(reduced, self._rows), gcd)
@@ -660,7 +563,7 @@ def resultant(f, g, var):
 
     Over a field, when f and g together involve at most one variable u
     besides ``var``, their coefficient rows in ``var`` go to the field's
-    ``upoly`` kernel and ``_resultant_rows`` takes the resultant there;
+    ``upoly.kernel`` and ``_resultant_rows`` takes the resultant there;
     with more variables, or over a ring without division such as the
     order, the division-free ``linalg.det``.
     """
@@ -672,7 +575,7 @@ def resultant(f, g, var):
     # constant entries are univariate in any variable; var does not occur in them
     u = others.pop() if others else var
     field = ring.coeff_ring
-    K = upoly._kernel(field)
+    K = ring.kernel
 
     def in_u(h):
         out = [field.zero] * (h.degree_in(u) + 1)
@@ -692,9 +595,10 @@ def _resultant_rows(K, fr, gr):
     degrees and the row bound (each Sylvester row's largest entry degree,
     summed).  Over F_p with p > B it is interpolated from its values at
     u = 0, ..., B, each the Euclid resultant of the two slices
-    (``upoly._resultant``) or, where a leading coefficient in v vanishes,
-    the determinant of their Sylvester matrix; over any other field
-    (q <= B, or n > 1) it is Bareiss's elimination over F[u] (``upoly._det``).
+    (``upoly.kernel_resultant``) or, where a leading coefficient in v
+    vanishes, the determinant of their Sylvester matrix; over any other
+    field (q <= B, or n > 1) it is Bareiss's elimination over F[u]
+    (``upoly.kernel_det``).
     """
     def degrees(r):  # in v, the largest in u, and the total degree
         return len(r) - 1, max(map(len, r)) - 1, max(k + len(c) - 1 for k, c in enumerate(r) if c)
@@ -703,7 +607,7 @@ def _resultant_rows(K, fr, gr):
     bound = min(tf * tg, n * df + m * dg)
     if K.n == 1 and K.p > bound:
         return _evaluated_resultant(K, fr, gr, bound)
-    return upoly._det(K, _sylvester_rows(fr, gr, []))
+    return upoly.kernel_det(K, _sylvester_rows(fr, gr, []))
 
 
 def _evaluated_resultant(K, fr, gr, bound):
@@ -712,12 +616,12 @@ def _evaluated_resultant(K, fr, gr, bound):
     for x in range(bound + 1):
         a, b = [K.eval(c, x) for c in fr], [K.eval(c, x) for c in gr]
         if a[-1] and b[-1]:
-            r = upoly._resultant(K, a, b)
+            r = upoly.kernel_resultant(K, a, b)
         else:  # the formal degrees count: the scalar Sylvester matrix
-            r = upoly._det(K, _sylvester_rows(*([[c] if c else [] for c in s]
-                                                for s in (a, b)), []))
+            r = upoly.kernel_det(K, _sylvester_rows(*([[c] if c else [] for c in s]
+                                                      for s in (a, b)), []))
         values.append(r[0] if r else 0)
-    return upoly._vinterpolate(values, K.p)
+    return upoly.interpolate(values, K.p)
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +659,10 @@ def _yprem(K, a_rows, b_rows):
     lb = b_rows[db]
     for k in range(da - db, -1, -1):
         top = a[k + db]
-        a = [K.mul(row, lb) for row in a]
+        a = [K.product(row, lb) for row in a]
         for j in range(db + 1):
-            a[k + j] = K.sub(a[k + j], K.mul(top, b_rows[j]))
-    while a and not a[-1]:
-        a.pop()
-    return a
+            a[k + j] = K.sub(a[k + j], K.product(top, b_rows[j]))
+    return upoly.trim(a)
 
 
 def _pp_gcd(K, a_rows, b_rows):
@@ -785,8 +687,8 @@ def bivariate_gcd(fs):
     Subresultant-style primitive PRS in the second variable with content
     splitting over F_q[x]; the result is normalized to leading
     coefficient 1 in graded lex.  The rows in y are converted once to
-    ``upoly``'s kernel for the field by ``PlaneSlices``, and the whole
-    PRS runs there.
+    polynomials of the field's ``upoly.kernel`` by ``PlaneSlices``, and
+    the whole PRS runs there.
     """
     fs = [f for f in fs if f]
     if not fs:
@@ -809,7 +711,7 @@ def _gcd2(K, fr, gr):
     fcont, gcont = _ycontent(K, fr), _ycontent(K, gr)
     fpp, gpp = _ydivide(K, fr, fcont), _ydivide(K, gr, gcont)
     cont = K.gcd(fcont, gcont)
-    return [K.mul(row, cont) for row in _pp_gcd(K, fpp, gpp)]
+    return [K.product(row, cont) for row in _pp_gcd(K, fpp, gpp)]
 
 
 def divide_exact(f, g):
@@ -844,8 +746,9 @@ def divide_exact(f, g):
 
 def derivative(f, var):
     ring = f.ring
-    K = _scalars(ring.coeff_ring)
+    K = ring.kernel
     # the integer k as a scalar, for each exponent k of var
-    ks = [K.to(ring.coeff_ring.element(k)) for k in range(f.degree_in(var) + 1)]
-    return MPoly(ring, K.terms({e[:var] + (e[var] - 1,) + e[var + 1:]: K.mul(K.to(c), ks[e[var]])
+    ks = [K.scalar(ring.coeff_ring.element(k)) for k in range(f.degree_in(var) + 1)]
+    return MPoly(ring, K.terms({e[:var] + (e[var] - 1,) + e[var + 1:]:
+                                K.mul(K.scalar(c), ks[e[var]])
                                 for e, c in f.terms.items() if e[var]}))

@@ -238,18 +238,19 @@ def _solve_zero_dim(polys, field, unknowns, ext=None):
     coeffs = [[p.coeff_of(wpos, k) for k in range(p.degree_in(wpos) + 1)]
               for p in actives if p.degree_in(wpos) > 0]
     nvars = actives[0].ring.nvars
+    K = upoly.kernel(L)
     out = []
     for sol in partial:
         vals = [sol.get(i, L.zero) for i in range(nvars)]
         g = None
         for cs in coeffs:
-            s = upoly.trim([c.evaluate(vals, into=L) for c in cs])
+            s = K.to([c.evaluate(vals, into=L) for c in cs])
             if not s:
                 continue
-            g = s if g is None else upoly.gcd(L, g, s)
-        if g is None or upoly.degree(g) < 1:
+            g = s if g is None else K.gcd(g, s)
+        if g is None or len(g) < 2:
             continue
-        for w in upoly.roots(L, g):
+        for w in upoly.kernel_roots(L, K, g):
             full = dict(sol)
             full[wpos] = w
             out.append(full)
@@ -371,11 +372,11 @@ def _contact_profile(f, p, line):
     tring = PolyRing(field, ("t",))
     t = tring.variable(0)
     g = substitute(f, [tring.constant(pc) + t * vc for pc, vc in zip(p.coords, v.coords)])
-    coeffs = [g.coeff((k,)) for k in range(g.total_degree() + 1)]
-    if upoly.is_zero(coeffs):
+    if not g:
         raise InputError("line is a component of the curve")
+    coeffs = [g.coeff((k,)) for k in range(g.total_degree() + 1)]
     mult0 = next(i for i, c in enumerate(coeffs) if c)
-    at_infinity = f.total_degree() - upoly.degree(coeffs)
+    at_infinity = f.total_degree() - g.total_degree()
     # t does not divide the shifted restriction, so no root is 0
     _, pieces = upoly.factor(field, coeffs[mult0:])
     roots = sorted(((-h[0], m) for h, m in pieces if len(h) == 2),

@@ -1,44 +1,31 @@
-"""Dense univariate polynomial arithmetic over an arbitrary field object.
+"""Dense univariate polynomials over finite fields, and each ring's arithmetic object.
 
-Polynomials are plain Python lists of field elements, little-endian
-(index i holds the coefficient of x^i).  The zero polynomial is the
-empty list.  Every function takes the field as its first argument; the
-field must provide ``zero``, ``one``, ``element`` and, for the
-root/factor routines, ``q``, ``p``, ``n``, ``element_at`` and
-``index_of``; in the package that is ``ff.FqField``, prime or flat
-F_{p^n}.
+``kernel(ring)`` fixes, once per ring object, the form its coefficients
+compute in: ints mod p over F_p (``_Ints``), coefficient tuples under
+the field's ``_add``, ``_mul`` and ``_inv`` over F_{p^n} with n > 1
+(``_Tuples``), the elements themselves over the order (``_Kernel``).
+``mpoly`` computes its terms on these scalars.  Over a field a
+polynomial is a trimmed little-endian list of scalars, and the kernel's
+polynomial methods let root finding, gcd, modular powers,
+irreducibility and factoring below be written once; modular powers over
+F_p are Kronecker-packed, one big-int product per squaring
+(``_vpowmod``).  ``kernel_det`` (Bareiss) and ``kernel_resultant``
+(Euclid) give ``mpoly`` its Sylvester resultants on kernel rows, which
+over larger F_p it interpolates from scalar ones (``interpolate``).
 
-Root finding, gcd, modular powers, irreducibility and factoring run
-on one kernel per field kind: over a prime field the polynomials become
-int lists mod p once, on the way in, and field elements again on the
-way out (``_Ints``); over every other field they stay lists of elements
-(``_Elements``).  Both kernels offer the same methods (``sub``, ``mul``,
-``divmod``, ``rem``, ``gcd``, ``pow_mod``, ...), so each algorithm is
-written once.  ``_det`` is Bareiss's fraction-free elimination on a
-matrix of kernel lists in one variable, and ``_resultant`` Euclid's
-resultant; ``mpoly`` computes its Sylvester resultants, on kernel rows,
-with the first over small fields and interpolates them from values of
-the second (``_vinterpolate``) over larger F_p.
-Modular powers over F_p keep the polynomial as one int with a slot per
-coefficient (Kronecker substitution, ``_vpowmod``), so each squaring is
-a single big-int product.
-
-Roots have one entry on the kernel, ``_roots``, and root counts one,
-``_count_roots``: ``roots`` and ``count_roots`` convert their input and
-call them.  Outside this module only ``mpoly`` works in kernel form: its
-bivariate gcd and resultants, and ``mpoly.PlaneSlices``, which holds the
-plane slices that point search and the certificates solve, eliminates
-their second variable, folds their gcds at a point or over F_q[x]/(m),
-and calls ``_roots`` and ``_count_roots`` on them, so over F_p a slice
-stays on ints from its rows to its roots.
+The functions that take a field and lists of its elements convert them
+once.  Roots have one kernel-level entry, ``kernel_roots``, and root
+counts one, ``kernel_count_roots``; ``mpoly.PlaneSlices`` calls them on
+the plane slices that point search and the certificates solve, so a
+slice stays in its field's form from its rows to its roots.
 
 Over F_p with p below ``_SCAN_CAP`` the roots in F_p itself are not
 split off at all: ``_scan`` evaluates the polynomial at every x in F_p
 at once, as one sum of the packed ints P_k that hold x^k mod p in a
 32-bit slot per x (built once per prime, up to the largest degree asked
-for), and keeps the x whose slot p divides.  ``_roots``,
-``_count_roots`` and the degree-1 step of ``_factor_squarefree`` use
-it; the last divides the linear factors out one by one and computes
+for), and keeps the x whose slot p divides.  ``kernel_roots``,
+``kernel_count_roots`` and the degree-1 step of ``_factor_squarefree``
+use it; the last divides the linear factors out one by one and computes
 x^p modulo the cofactor only when that has degree 4 or more.  The
 scan's cost grows with p and the splitting's does not.  Per random
 monic slice, best of 5 over 200, on a 2-core x86-64 host (scan against
@@ -58,9 +45,9 @@ Gathen and Gerhard, *Modern Computer Algebra*, ch. 14) with shifts
 drawn from the whole field by a ``random.Random`` under a fixed seed,
 local to each call.
 Over a flat F_{p^n} with n >= 2, a polynomial whose coefficients lie in
-a subfield (F_p, which ``_roots`` detects for every caller, or a field
-F_q passed as the coefficients' own field) is first factored over that
-subfield, on the int kernel for F_p.  Over
+a subfield (F_p, which ``kernel_roots`` detects for every caller, or a
+field F_q passed as the coefficients' own field) is first factored over
+that subfield, on the int kernel for F_p.  Over
 F_{p^2} its F_p-irreducible quadratic factors then take their roots in
 closed form, from one square root mod p (``_sqrt_mod``, the int
 Tonelli-Shanks that ``ff`` also uses for prime fields); otherwise only
@@ -76,6 +63,9 @@ package lives in :mod:`gonalift.mpoly`.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
 import sys
 
@@ -98,149 +88,53 @@ def trim(cs):
     return list(cs[:n])
 
 
-def degree(cs):
-    """Degree, with deg 0 = -1."""
-    n = len(cs)
-    while n > 0 and not cs[n - 1]:
-        n -= 1
-    return n - 1
-
-
-def is_zero(cs):
-    return degree(cs) < 0
-
-
-def x_poly(field):
-    return [field.zero, field.one]
-
-
-def add(field, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return trim(out)
-
-
-def sub(field, a, b):
-    return add(field, a, [-c for c in b])
-
-
-def scale(field, a, c):
-    c = field.element(c)
-    if not c:
-        return []
-    return trim([ai * c for ai in a])
-
-
 def mul(field, a, b):
-    a = trim(a)
-    b = trim(b)
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return trim(out)
+    """The product of two lists of field elements."""
+    K = kernel(field)
+    return K.back(K.product(K.to(a), K.to(b)))
 
 
-def divmod_(field, a, b):
-    """Quotient and remainder; b must be nonzero."""
-    a = trim(a)
-    b = trim(b)
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = b[db].inverse()
-    r = list(a)
-    q = [field.zero] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = r[i + db] * inv_lc
-        if not c:
-            continue
-        q[i] = c
-        for j in range(db + 1):
-            r[i + j] = r[i + j] - c * b[j]
-    return trim(q), trim(r)
+def pow_mod(K, a, e, m):
+    """a^e mod m in the form of the field kernel K (see ``kernel``), e a nonnegative int.
 
-
-def rem(field, a, b):
-    return divmod_(field, a, b)[1]
-
-
-def monic(field, a):
-    a = trim(a)
-    if not a:
-        return []
-    return scale(field, a, a[-1].inverse())
-
-
-def gcd(field, a, b):
-    """Monic gcd."""
-    K = _kernel(field)
-    return K.back(K.gcd(K.to(a), K.to(b)))
-
-
-def pow_mod(field, a, e, m):
-    """a^e mod m by square-and-multiply; e a nonnegative int.
-
-    ``field`` may also be a kernel (see ``_kernel``) with ``a`` and ``m``
-    in its form: the root and factor routines take every modular power
-    through this function, so its call count measures their splitting
-    work.
+    The root and factor routines take every modular power through this
+    function, so its call count measures their splitting work.
     """
-    if isinstance(field, _Kernel):
-        return field.pow_mod(a, e, m)
-    K = _kernel(field)
-    return K.back(K.pow_mod(K.to(a), e, K.to(m)))
-
-
-def eval_in(ext, a, x):
-    """Evaluate with coefficients embedded into the extension of x."""
-    acc = ext.zero
-    for c in reversed(trim(a)):
-        acc = acc * x + ext.embed(c)
-    return acc
-
-
-def derivative(field, a):
-    return trim([a[i] * field.element(i) for i in range(1, len(a))])
+    return K.pow_mod(a, e, m)
 
 
 def resultant(field, a, b):
     """Exact resultant of two univariate polynomials over a field."""
-    K = _kernel(field)
-    r = _resultant(K, K.to(a), K.to(b))
+    K = kernel(field)
+    r = kernel_resultant(K, K.to(a), K.to(b))
     return K.back(r)[0] if r else field.zero
 
 
-def _resultant(K, a, b):
+def kernel_resultant(K, a, b):
     """Res(a, b) of trimmed lists in the form of K, as [] or [c], by Euclid's algorithm.
 
     Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) with
-    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c.
+    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c.  The
+    power of the leading coefficients builds up in one scalar.
     """
     if not a or not b:
         return []
-    acc, negate = [K.one], False
+    mul, norm = K.mul, K.norm
+    acc, negate = K.one, False
     while len(b) > 1:
         r = K.rem(a, b)
         if not r:
             return []
         negate ^= (len(a) - 1) * (len(b) - 1) % 2 == 1
         for _ in range(len(a) - len(r)):
-            acc = K.mul(acc, b[-1:])
+            acc = norm(mul(acc, b[-1]))
         a, b = b, r
     for _ in range(len(a) - 1):
-        acc = K.mul(acc, b)
-    return K.sub([], acc) if negate else acc
+        acc = norm(mul(acc, b[0]))
+    return K.sub([], [acc]) if negate else [acc]
 
 
-def _det(K, m):
+def kernel_det(K, m):
     """Determinant of a square matrix of lists in u, in the form of K, which it overwrites.
 
     Bareiss's fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968)
@@ -264,9 +158,9 @@ def _det(K, m):
         for row in m[k + 1:]:
             aik = row[k]
             for j in range(k + 1, n):
-                t = K.mul(akk, row[j])
+                t = K.product(akk, row[j])
                 if aik:
-                    t = K.sub(t, K.mul(aik, top[j]))
+                    t = K.sub(t, K.product(aik, top[j]))
                 row[j] = t if prev is None else K.divmod(t, prev)[0]
         prev = akk
     d = m[-1][-1] if n else [K.one]
@@ -277,13 +171,7 @@ def _det(K, m):
 # roots, irreducibility and factoring, written once over a kernel
 
 
-def count_roots(field, a):
-    """Number of distinct roots in the field itself."""
-    K = _kernel(field)
-    return _count_roots(K, K.to(a))
-
-
-def _count_roots(K, a):
+def kernel_count_roots(K, a):
     """Number of distinct roots of a, in the form of K, in K's own field."""
     if len(a) < 2:
         return 0
@@ -304,11 +192,11 @@ def roots(field, a):
     if len(a) == 1:
         return []
     base = a[-1].field
-    K = _kernel(base if all(c.field is base or c.field == base for c in a) else field)
-    return _roots(field, K, K.to(a))
+    K = kernel(base if all(c.field is base or c.field == base for c in a) else field)
+    return kernel_roots(field, K, K.to(a))
 
 
-def _roots(field, K, a):
+def kernel_roots(field, K, a):
     """Distinct roots in ``field`` of a nonconstant a, sorted by enumeration index.
 
     a is in the form of the kernel K of ``field`` itself or of a subfield
@@ -317,13 +205,13 @@ def _roots(field, K, a):
     roots are split off gcd(x^q - x, a); over a proper subfield see
     ``_roots_of_subfield_poly``.
     """
-    if K.n > 1 and not any(any(c.coeffs[1:]) for c in a):
-        K, a = _Ints(field.p), [c.coeffs[0] for c in a]
-    if K.field == field and _scans(K, a):
+    if K.n > 1 and not any(any(c[1:]) for c in a):
+        K, a = _Ints(K.p), [c[0] for c in a]
+    if K.ring == field and _scans(K, a):
         return K.back(_scan(K.p, a))
     rng = random.Random(_SPLIT_SEED)
     found = []
-    if K.field == field:
+    if K.ring == field:
         _split_linear(K, _linear_part(K, a), rng, found)
         found.sort(key=K.key)
         return K.back(found)
@@ -341,20 +229,28 @@ def _roots_of_subfield_poly(field, B, a, rng, found):
     directly.  Over F_{p^2} an F_p-irreducible quadratic factor gives its
     two roots in closed form (``_quadratic_roots``); only the other
     factors with d >= 2 are split, in the subfield F_{p^(nb d)} of
-    F_{p^n} that holds their roots.
+    F_{p^n} that holds their roots.  Scalars of B go to ``field`` as
+    elements of the subfield, which ``field.element`` embeds: a bare
+    tuple would be read in the basis of ``field``.
     """
-    E = _Elements(field)
+    E = kernel(field)
     nb = B.n
     n = field.n
+
+    def embedded(h):
+        return [field.element(c) for c in (B.back(h) if nb > 1 else h)]
+
     for g, _mult in _squarefree_decomposition(B, a):
         for h in _factor_squarefree(B, g, rng):
             d = len(h) - 1
             if d == 1:
-                found.append(field.element(B.root(h)))
+                found.extend(embedded([B.root(h)]))
             elif n == 2 and nb == 1 and d == 2:
                 found.extend(field.element(r) for r in _quadratic_roots(field, h))
             elif n % (nb * d) == 0:
-                _split_linear(E, [field.element(c) for c in h], rng, found, nb * d)
+                split = []
+                _split_linear(E, E.to(embedded(h)), rng, split, nb * d)
+                found.extend(E.back(split))
 
 
 def _quadratic_roots(field, h):
@@ -426,9 +322,9 @@ def _split_linear(K, g, rng, out, sub=0):
         delta = K.random(rng)
         if sub:
             z = delta
-            for _ in range(K.field.n // sub - 1):
-                z = z ** q
-                delta = delta + z
+            for _ in range(K.n // sub - 1):
+                z = K.power(z, q)
+                delta = K.add(delta, z)
         h = pow_mod(K, [delta, K.one], e, g)
         w = K.gcd(K.sub(h, [K.one]), g)
         if 0 < len(w) - 1 < d:
@@ -437,18 +333,9 @@ def _split_linear(K, g, rng, out, sub=0):
             return
 
 
-def is_squarefree(field, a):
-    K = _kernel(field)
-    a = K.to(a)
-    if len(a) < 2:
-        return True
-    d = K.derivative(a)
-    return bool(d) and len(K.gcd(a, d)) == 1
-
-
 def is_irreducible(field, a):
     """Rabin's irreducibility test over the field."""
-    K = _kernel(field)
+    K = kernel(field)
     return _is_irreducible(K, K.to(a))
 
 
@@ -458,7 +345,7 @@ def _is_irreducible(K, a):
         return False
     if d == 1:
         return True
-    if not a[0]:
+    if a[0] == K.zero:
         return False
     a = K.monic(a)
     x = K.x
@@ -490,7 +377,7 @@ def _prime_divisors(n):
 
 def squarefree_decomposition(field, a):
     """Return [(g_i, m_i)] with a = lc * prod g_i^m_i, g_i monic squarefree, coprime."""
-    K = _kernel(field)
+    K = kernel(field)
     return [(K.back(g), m) for g, m in _squarefree_decomposition(K, K.to(a))]
 
 
@@ -529,7 +416,7 @@ def factor(field, a):
     their coefficients, so the result does not depend on the split
     draws.
     """
-    K = _kernel(field)
+    K = kernel(field)
     a = K.to(a)
     if not a:
         raise ValueError("cannot factor the zero polynomial")
@@ -594,49 +481,146 @@ def _equal_degree_split(K, g, d, rng, out):
 
 
 # ---------------------------------------------------------------------------
-# kernels: the polynomial form the routines above compute in
-#
-# Every kernel list is trimmed.  ``to`` converts a list of field elements
-# into kernel form, ``scalar`` one element, and ``back`` converts
-# kernel-form coefficients back; ``eval`` is Horner's rule in kernel form.
-# ``n`` is the degree of the kernel's field over F_p.
+# kernels: the arithmetic object of each coefficient ring
+
+#: id of a ring -> its kernel, which keeps the ring, and so its id, alive; a
+#: few suffice, since a lift's reduction lies over the curve's own field
+#: (``OkRing.for_field``), so the curves over one field share one kernel
+_KERNELS = {}
 
 
-def _kernel(field):
-    """Int lists mod p for a prime field, lists of field elements otherwise."""
-    if field.is_field and field.n == 1:
-        return _Ints(field.p, field)
-    return _Elements(field)
+def kernel(ring):
+    """The arithmetic object of a coefficient ring, built once per ring object."""
+    K = _KERNELS.get(id(ring))
+    if K is None:
+        if len(_KERNELS) > 8:
+            _KERNELS.clear()
+        if not getattr(ring, "is_field", False):
+            K = _Kernel(ring)
+        elif ring.n == 1:
+            K = _Ints(ring.p, ring)
+        else:
+            K = _Tuples(ring)
+        _KERNELS[id(ring)] = K
+    return K
 
 
 class _Kernel:
-    __slots__ = ()
+    """A ring's scalar form; this base is the order's, its elements as they are.
+
+    ``scalar`` takes an element of the ring, or of a subfield that embeds
+    in it, to a scalar, and ``element`` a reduced scalar back.  ``add``
+    and ``mul`` may leave a scalar unreduced and ``norm`` reduces it, so
+    over F_p, where they are the int builtins, a sum of products is
+    reduced once, at the end of an operation.
+    """
+
+    __slots__ = ("ring", "scalar", "element", "add", "mul", "norm", "zero", "one")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.scalar = self.element = self.norm = lambda c: c
+        self.add, self.mul = operator.add, operator.mul
+        self.zero, self.one = ring.zero, ring.one
+
+    def reduce(self, d):
+        """The map of scalars d reduced, without its zeros."""
+        norm, zero = self.norm, self.zero
+        return {e: r for e, s in d.items() if (r := norm(s)) != zero}
+
+    def terms(self, d):
+        """The map of scalars d as polynomial terms: elements, without zeros."""
+        element = self.element
+        return {e: element(s) for e, s in self.reduce(d).items()}
+
+    def evaluate(self, exps, terms, xs):
+        """The sum of the (exponent, scalar) pairs ``terms`` at the scalars xs, unreduced.
+
+        Each value's powers are built once, up to the largest of its
+        exponents in ``exps``, the terms' exponent tuples.
+        """
+        mul, add = self.mul, self.add
+        # no terms means no exponents, so no powers
+        powers = [self.powers(x, k) for x, k in zip(xs, map(max, zip(*exps)))]
+        acc = self.zero
+        for e, t in terms:
+            for pw, k in zip(powers, e):
+                if k:
+                    t = mul(t, pw[k])
+            acc = add(acc, t)
+        return acc
+
+    def powers(self, x, k):
+        """[1, x, ..., x^k], reduced."""
+        pw = [self.one]
+        for _ in range(k):
+            pw.append(self.norm(self.mul(pw[-1], x)))
+        return pw
 
 
-class _Ints(_Kernel):
-    """Int lists mod p: the prime-field kernel."""
+class _Field(_Kernel):
+    """A field's kernel: its scalar form and polynomials in it.
 
-    __slots__ = ("p", "q", "n", "field", "one", "x")
+    A polynomial is a trimmed little-endian list of reduced scalars;
+    ``to`` takes a list of elements to one and ``back`` returns the
+    elements.  ``eval`` is Horner's rule, ``product`` the polynomial
+    product, ``key`` orders scalars as the field enumerates its elements,
+    ``random`` draws one element with one ``randrange``, and ``n`` is the
+    field's degree over F_p.
+    """
 
-    def __init__(self, p, field=None):
-        self.p = self.q = p
-        self.n = 1
-        self.field = field
-        self.one = 1
-        self.x = [0, 1]
+    __slots__ = ("p", "q", "n", "x")
 
     def to(self, a):
-        return _vtrim([c.coeffs[0] for c in a])
-
-    def scalar(self, c):
-        return c.coeffs[0]
+        return self.trim(list(map(self.scalar, a)))
 
     def back(self, a):
-        element = self.field.element
-        return [element(c) for c in a]
+        return list(map(self.element, a))
 
     def trim(self, a):
-        return _vtrim(a)
+        n, zero = len(a), self.zero
+        while n > 0 and a[n - 1] == zero:
+            n -= 1
+        return a[:n]
+
+    def gcd(self, a, b):
+        """The monic gcd, by Euclid's algorithm."""
+        while b:
+            a, b = b, self.rem(a, b)
+        return self.monic(a) if a else a
+
+    def pow_mod(self, a, e, m):
+        """a^e mod m by square-and-multiply."""
+        m = self.monic(m)  # a monic modulus leaves the same remainders
+        result, base = [self.one], self.rem(a, m)
+        while e:
+            if e & 1:
+                result = self.rem(self.product(result, base), m)
+            e >>= 1
+            if e:
+                base = self.rem(self.product(base, base), m)
+        return result
+
+
+class _Ints(_Field):
+    """Ints mod p: the prime-field kernel.
+
+    Without a field it takes the F_p coefficients of a polynomial over
+    F_{p^n} (``kernel_roots``) and tests moduli, and has no ``element``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, p, ring=None):
+        self.ring = ring
+        self.p = self.q = p
+        self.n = 1
+        self.zero, self.one, self.x = 0, 1, [0, 1]
+        self.add, self.mul, self.norm = operator.add, operator.mul, p.__rmod__
+        self.scalar = lambda c: c.coeffs[0]
+        if ring is not None:
+            from .ff import FqElement  # ff builds its fields on this module
+            self.element = lambda s: FqElement(ring, (s,))
 
     def eval(self, a, u):
         acc = 0
@@ -647,18 +631,14 @@ class _Ints(_Kernel):
     def sub(self, a, b):
         return _vtrim(_vsub(a, b, self.p))
 
-    def mul(self, a, b):
+    def product(self, a, b):
         return _vmul(a, b, self.p)
 
     def divmod(self, a, b):
-        q, r = _vdivmod(a, b, self.p)
-        return _vtrim(q), r
+        return _vdivmod(a, b, self.p)
 
     def rem(self, a, b):
         return _vrem(a, b, self.p)
-
-    def gcd(self, a, b):
-        return _vgcd(a, b, self.p)
 
     def pow_mod(self, a, e, m):
         return _vpowmod(a, e, m, self.p)
@@ -687,82 +667,100 @@ class _Ints(_Kernel):
         return c
 
 
-class _Elements(_Kernel):
-    """Lists of field elements: the kernel for every field that is not prime."""
+class _Tuples(_Field):
+    """Coefficient tuples under the field's own arithmetic: the kernel of F_{p^n}, n > 1.
 
-    __slots__ = ("field", "p", "q", "n", "one", "x")
+    A scalar is an element's ``coeffs``, always reduced, so ``norm`` is
+    the identity.  Zero is the all-zero tuple, which is truthy, so every
+    zero test compares with ``zero``.
+    """
+
+    __slots__ = ("_inv", "_neg", "_pad")
 
     def __init__(self, field):
-        self.field = field
-        self.p = field.p
-        self.q = field.q
-        self.n = field.n
-        self.one = field.one
-        self.x = x_poly(field)
+        from .ff import FqElement  # ff builds its fields on this module
+        self.ring, self.p, self.q, self.n = field, field.p, field.q, field.n
+        self.zero, self.one = field.zero.coeffs, field.one.coeffs
+        self.x = [self.zero, self.one]
+        self.add, self.mul, self.norm = field._add, field._mul, lambda s: s
+        self._inv, self._neg, self._pad = field._inv, field._neg, (0,) * (field.n - 1)
+        self.scalar, self.element = self._vector, functools.partial(FqElement, field)
 
-    def to(self, a):
-        return trim(a)
-
-    def scalar(self, c):
-        return c
-
-    def back(self, a):
-        return a
-
-    def trim(self, a):
-        return trim(a)
+    def _vector(self, c):
+        if c.field is self.ring:
+            return c.coeffs
+        if c.field.n == 1 and c.field.p == self.p:
+            return c.coeffs + self._pad  # the prime subfield, padded
+        return self.ring.element(c).coeffs
 
     def eval(self, a, u):
-        return eval_in(self.field, a, u)
+        add, mul = self.add, self.mul
+        acc = self.zero
+        for c in reversed(a):
+            acc = add(mul(acc, u), c)
+        return acc
 
     def sub(self, a, b):
-        return sub(self.field, a, b)
+        p = self.p
+        return self.trim([tuple((x - y) % p for x, y in zip(c, d))
+                          for c, d in itertools.zip_longest(a, b, fillvalue=self.zero)])
 
-    def mul(self, a, b):
-        return mul(self.field, a, b)
+    def product(self, a, b):
+        if not a or not b:
+            return []
+        add, mul, zero = self.add, self.mul, self.zero
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c != zero:
+                for j, d in enumerate(b):
+                    out[i + j] = add(out[i + j], mul(c, d))
+        return out
 
     def divmod(self, a, b):
-        return divmod_(self.field, a, b)
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        add, mul, zero = self.add, self.mul, self.zero
+        db = len(b) - 1
+        inv = None if b[db] == self.one else self._inv(b[db])
+        minus_b = [self._neg(c) for c in b[:db]]
+        q, r = [zero] * max(len(a) - db, 0), list(a)
+        for i in range(len(a) - db - 1, -1, -1):
+            c = r[i + db] if inv is None else mul(r[i + db], inv)
+            if c != zero:
+                q[i] = c
+                for j, d in enumerate(minus_b):
+                    r[i + j] = add(r[i + j], mul(c, d))
+        # each step cancels r[i + db], so the remainder is what lies below db
+        return self.trim(q), self.trim(r[:db])
 
     def rem(self, a, b):
-        return rem(self.field, a, b)
-
-    def gcd(self, a, b):
-        field = self.field
-        while b:
-            a, b = b, rem(field, a, b)
-        return monic(field, a)
-
-    def pow_mod(self, a, e, m):
-        field = self.field
-        result = [field.one]
-        base = rem(field, a, m)
-        while e > 0:
-            if e & 1:
-                result = rem(field, mul(field, result, base), m)
-            base = rem(field, mul(field, base, base), m)
-            e >>= 1
-        return result
+        return self.divmod(a, b)[1]
 
     def monic(self, a):
-        return monic(self.field, a)
+        mul, inv = self.mul, self._inv(a[-1])
+        return [mul(c, inv) for c in a]
 
     def derivative(self, a):
-        return derivative(self.field, a)
+        p = self.p
+        return self.trim([tuple(i * x % p for x in a[i]) for i in range(1, len(a))])
 
     def pth_root(self, a):
         # a(x) = b(x^p); c -> c^(p^(n-1)) inverts the absolute Frobenius
-        root_exp = self.p ** (self.field.n - 1)
-        return trim([c ** root_exp for c in a[::self.p]])
+        root_exp = self.p ** (self.n - 1)
+        return self.trim([self.power(c, root_exp) for c in a[::self.p]])
+
+    def power(self, c, e):
+        return (self.element(c) ** e).coeffs
 
     def random(self, rng):
-        return self.field.element_at(rng.randrange(self.q))
+        return self.ring.element_at(rng.randrange(self.q)).coeffs
 
     def root(self, g):
-        return -g[0] * g[1].inverse()
+        return self.mul(self._neg(g[0]), self._inv(g[1]))
 
     def key(self, c):
-        return self.field.index_of(c)
+        # the enumeration index reads the tuple as base-p digits, last digit first
+        return c[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +810,7 @@ def _vdivmod(a, b, p):
             q[i] = c
             for j in range(db + 1):
                 r[i + j] = (r[i + j] - c * b[j]) % p
-    return q, _vtrim(r)
+    return _vtrim(q), _vtrim(r)
 
 
 def _vrem(a, b, p):
@@ -899,7 +897,7 @@ def _vpack(a, w):
     return out
 
 
-def _vinterpolate(ys, p):
+def interpolate(ys, p):
     """The trimmed int list of degree below len(ys) < p that takes ys[i] at u = i.
 
     Newton's divided differences on the nodes 0, 1, ..., whose level-k
@@ -915,16 +913,6 @@ def _vinterpolate(ys, p):
         # out * (u - k) + c_k
         out = [(a - k * b) % p for a, b in zip([c[k]] + out, out + [0])]
     return _vtrim(out)
-
-
-def _vgcd(a, b, p):
-    a, b = _vtrim(list(a)), _vtrim(list(b))
-    while b:
-        a, b = b, _vrem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
 
 
 def _vxgcd(a, b, p):

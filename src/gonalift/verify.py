@@ -123,8 +123,9 @@ def _eliminant(slices, polys):
         return None, h
     h = mpoly.bivariate_gcd(polys[:2])
     halves = ([h] + polys[2:], [mpoly.divide_exact(p, h) for p in polys[:2]] + polys[2:])
-    return upoly.mul(polys[0].ring.coeff_ring, *(
-        _eliminant(mpoly.PlaneSlices(half, 0, 1), half)[0] for half in halves)), None
+    K = polys[0].ring.kernel
+    return K.back(K.product(*(K.to(_eliminant(mpoly.PlaneSlices(half, 0, 1), half)[0])
+                              for half in halves))), None
 
 
 def _fibres(slices, e):
@@ -181,7 +182,7 @@ def check_nondegenerate(fbar: MPoly) -> Nondegeneracy:
     failures = []
     for v0, v1 in P.edges():
         g = _edge_coeffs(F, v0, v1)
-        if upoly.degree(g) >= 1 and not upoly.is_squarefree(field, g):
+        if any(m > 1 for _g, m in upoly.squarefree_decomposition(field, g)):
             failures.append({"face": "edge", "edge": [list(v0), list(v1)],
                              "reason": "edge polynomial is not squarefree"})
     if P.double_area() > 0:
@@ -273,12 +274,13 @@ def toric_point_count(fbar: MPoly, k: int = 1) -> int:
     if P.double_area() == 0:
         raise InputError("point counting needs a two-dimensional Newton polygon")
     slices = mpoly.PlaneSlices([F], 0, 1, L)
+    K = upoly.kernel(L)
 
     def torus_roots_at(x0):
         s = slices.at(x0)
         if not s:
             raise DegenerateModel("the model vanishes on a vertical line")
-        while not s[0]:
+        while s[0] == K.zero:
             s = s[1:]  # discard roots at y = 0
         return slices.count_roots(s)
 
@@ -313,8 +315,7 @@ def toric_point_count(fbar: MPoly, k: int = 1) -> int:
                 j = L.index_of(xj)
             total += orbit * torus_roots_at(x0)
     for v0, v1 in P.edges():
-        g = [L.element(c) for c in _edge_coeffs(F, v0, v1)]
-        total += upoly.count_roots(L, g)
+        total += upoly.kernel_count_roots(K, K.to(_edge_coeffs(F, v0, v1)))
     return total
 
 
@@ -452,20 +453,20 @@ def forward_point(coords, names, trail, L):
 
 
 def _in_scalars(steps, L):
-    """The read trail with each linear inverse in the scalar form of L, F_q or a field over it."""
-    K = mpoly._scalars(L)
-    return [(kind, K, [[K.to(a) for a in row] for row in data[1]])
+    """The read trail with each linear inverse in scalars of L's ``upoly.kernel``."""
+    K = upoly.kernel(L)
+    return [(kind, K, [[K.scalar(a) for a in row] for row in data[1]])
             if kind == "linear" else (kind, *data) for kind, *data in steps]
 
 
 def _transport(steps, coords, L):
-    """``forward_point`` on a read trail in the scalar form of L (``_in_scalars``)."""
+    """``forward_point`` on a read trail in scalars of L (``_in_scalars``)."""
     coords = tuple(L.element(c) for c in coords)
     for kind, *data in steps:
         if kind == "linear":
             K, rows = data
-            xs = [K.to(c) for c in coords]
-            coords = tuple(K.back(K.norm(functools.reduce(K.add, map(K.mul, row, xs))))
+            xs = [K.scalar(c) for c in coords]
+            coords = tuple(K.element(K.norm(functools.reduce(K.add, map(K.mul, row, xs))))
                            for row in rows)
         elif kind == "substitute":
             if not data[1]:
@@ -625,19 +626,19 @@ def sample_birational(report: LiftReport, samples: int = 50, rng=None) -> dict:
     defined = 0
     failures = []
     read = _read_trail(report.trail, report.input_gens[0].ring)
-    # the one reading, with each linear inverse in the scalar form of F_q and
-    # F_{q^2}, and the reduced lift's terms in the same form, converted once
+    # the one reading, with each linear inverse in scalars of F_q and F_{q^2},
+    # and the reduced lift's terms in the same scalars, converted once
     forms = {}
     for L in (field, ext):
-        K = mpoly._scalars(L)
-        forms[L] = _in_scalars(read, L), K, [(e, K.to(c)) for e, c in red.terms.items()]
+        K = upoly.kernel(L)
+        forms[L] = _in_scalars(read, L), K, [(e, K.scalar(c)) for e, c in red.terms.items()]
     for coords, L in pool:
         steps, K, terms = forms[L]
         img = _transport(steps, coords, L)
         if img is None:
             continue
         defined += 1
-        if K.norm(K.evaluate(red.terms, terms, [K.to(c) for c in img])) != K.zero:
+        if K.norm(K.evaluate(red.terms, terms, [K.scalar(c) for c in img])) != K.zero:
             failures.append([str(c) for c in coords])
     if defined == 0:
         return {"status": "skipped", "sampled": len(pool), "defined": 0,

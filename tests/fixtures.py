@@ -2,7 +2,7 @@
 
 import random
 
-from gonalift import linalg, verify
+from gonalift import linalg, upoly, verify
 from gonalift.ff import FqField
 from gonalift.lift3 import ROUTE_TARGETS, Genus3Input, lift_genus3
 from gonalift.mpoly import LinearChange, PolyRing
@@ -32,6 +32,12 @@ POINTLESS_QUARTIC_F3 = {
         {"e": [0, 0, 4], "c": [2]},
     ],
 }
+
+
+def poly_gcd(field, a, b):
+    """Monic gcd of two lists of field elements, on the field's kernel."""
+    K = upoly.kernel(field)
+    return K.back(K.gcd(K.to(a), K.to(b)))
 
 
 def random_quartic(ring, rng, forced=None):

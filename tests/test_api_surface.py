@@ -25,8 +25,6 @@ KEPT = {
     "upoly.resultant": "the tests' reference for mpoly.resultant on polynomials in one "
                        "variable, itself checked against a Sylvester determinant",
     "upoly.is_irreducible": "the tests' entry to _is_irreducible, which checks field moduli",
-    "upoly.squarefree_decomposition":
-        "the tests' entry to _squarefree_decomposition, which factor runs",
     "polygon.LatticePolygon.boundary_points": "the tests' Pick's-formula reference",
     "polygon.LatticePolygon.lattice_points": "the tests draw sub-polygons from it",
     "verify.make_monic": "the monic model over the order is what Tuitman's algorithm "

@@ -100,7 +100,9 @@ def test_seeded_draw_reproducible():
 
 
 def test_prime_field_slices_stay_on_the_int_kernel(monkeypatch):
-    # over F_p every plane slice is evaluated, reduced and solved on ints
+    # over F_p every plane slice is evaluated, reduced and solved on ints:
+    # each one reaches its roots on the int kernel, and none is evaluated
+    # on coefficient tuples
     F127 = FqField(127)
     f = fixtures.random_smooth_quartic(PolyRing(F127, ("X", "Y", "Z")), random.Random(3))
     red = lift_genus3(Genus3Input(f, check=False), seed=3).reduction()
@@ -108,19 +110,25 @@ def test_prime_field_slices_stay_on_the_int_kernel(monkeypatch):
     R4 = PolyRing(F127, ("X", "Y", "Z", "W"))
     x, y, z, w = R4.gens()
     calls = []
-    eval_in = upoly.eval_in
+    kinds = set()
+    roots, count_roots, tuple_eval = (upoly.kernel_roots, upoly.kernel_count_roots,
+                                      upoly._Tuples.eval)
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return eval_in(*args)
+        return tuple_eval(self, *args)
 
-    monkeypatch.setattr(upoly, "eval_in", counted)
+    monkeypatch.setattr(upoly._Tuples, "eval", counted)
+    monkeypatch.setattr(upoly, "kernel_roots",
+                        lambda field, K, a: kinds.add(type(K)) or roots(field, K, a))
+    monkeypatch.setattr(upoly, "kernel_count_roots",
+                        lambda K, a: kinds.add(type(K)) or count_roots(K, a))
     assert len(points_on_plane_curve(f)) > 100
     assert PointStream(f, random.Random(5)).point(5) is not None
     assert verify.toric_point_count(red, 1) > 100
     assert len(sample_curve_points([x * y - z * w, x ** 3 + y ** 3 + z ** 3 + w ** 3],
                                    10, random.Random(0))) == 10
-    assert calls == []
+    assert calls == [] and kinds == {upoly._Ints}
 
 
 def _drain(stream):

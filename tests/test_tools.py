@@ -6,12 +6,14 @@ genus-6 report's replayed model and samples, the reports of every
 special route and of a fallback, and last the pointless F_3 quartic's.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import g6_fixture as g6
+from gonalift.ff import FqField
 from gonalift.lift3 import ROUTE_TARGETS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -101,3 +103,12 @@ def test_bench_pairs_summarises_the_recorded_pairs(tmp_path):
                              "145", "[144.5,", "145.5]", "change", "-", "parent",
                              "4", "[3,", "5]"]
     assert json.loads(out.read_text()) == runs
+
+
+def test_field_costs_times_one_curve():
+    spec = importlib.util.spec_from_file_location(
+        "field_costs", os.path.join(ROOT, "tools", "field_costs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    costs = tool.field_costs([FqField(3, 2)], 1)
+    assert list(costs) == ["F_9"] and costs["F_9"] > 0

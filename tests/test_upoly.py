@@ -6,7 +6,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
-from fixtures import random_smooth_quartic
+from fixtures import poly_gcd, random_smooth_quartic
 from gonalift import upoly
 from gonalift.ff import FqField, is_prime
 from gonalift.lift3 import Genus3Input, lift_genus3
@@ -25,18 +25,23 @@ def rand_poly(field, rng, deg):
     return upoly.trim([field.random_element(rng) for _ in range(deg + 1)])
 
 
+def _count_roots(field, a):
+    K = upoly.kernel(field)
+    return upoly.kernel_count_roots(K, K.to(a))
+
+
 def test_divmod_roundtrip():
     rng = random.Random(1)
     for field in (F7, F9):
+        K = upoly.kernel(field)
         for _ in range(50):
-            a = rand_poly(field, rng, rng.randrange(0, 8))
-            b = rand_poly(field, rng, rng.randrange(0, 5))
-            if upoly.is_zero(b):
+            a = K.to(rand_poly(field, rng, rng.randrange(0, 8)))
+            b = K.to(rand_poly(field, rng, rng.randrange(0, 5)))
+            if not b:
                 continue
-            q, r = upoly.divmod_(field, a, b)
-            assert upoly.degree(r) < upoly.degree(b)
-            back = upoly.add(field, upoly.mul(field, q, b), r)
-            assert back == upoly.trim(a)
+            q, r = K.divmod(a, b)
+            assert len(r) < len(b)
+            assert K.sub(a, K.product(q, b)) == r
 
 
 def test_gcd_agrees_with_sympy():
@@ -46,9 +51,9 @@ def test_gcd_agrees_with_sympy():
         a = [rng.randrange(7) for _ in range(rng.randrange(1, 8))]
         b = [rng.randrange(7) for _ in range(rng.randrange(1, 8))]
         pa, pb = poly(F7, a), poly(F7, b)
-        if upoly.is_zero(pa) or upoly.is_zero(pb):
+        if not pa or not pb:
             continue
-        g = upoly.gcd(F7, pa, pb)
+        g = poly_gcd(F7, pa, pb)
         sa = sympy.Poly(list(reversed(a)), x, modulus=7)
         sb = sympy.Poly(list(reversed(b)), x, modulus=7)
         sg = sa.gcd(sb)
@@ -85,7 +90,7 @@ def test_resultant_matches_sylvester_determinant():
         a = [rng.randrange(7) for _ in range(rng.randrange(2, 7))]
         b = [rng.randrange(7) for _ in range(rng.randrange(2, 7))]
         pa, pb = poly(F7, a), poly(F7, b)
-        if upoly.degree(pa) < 1 or upoly.degree(pb) < 1:
+        if len(pa) < 2 or len(pb) < 2:
             continue
         expected = sylvester_det_mod(a, b, 7)
         got = upoly.resultant(F7, pa, pb)
@@ -107,7 +112,7 @@ def test_roots_and_count_roots():
                     nonsq = field.element_at(i)
                     break
             a = upoly.mul(field, a, [-nonsq, field.zero, field.one])
-            assert upoly.count_roots(field, a) == len(root_set)
+            assert _count_roots(field, a) == len(root_set)
             assert set(upoly.roots(field, a)) == root_set
 
 
@@ -127,7 +132,7 @@ def test_is_irreducible_matches_factorability():
         for j in range(7):
             a = [F7.element_at(i), F7.element_at(j), F7.one]
             irr = upoly.is_irreducible(F7, a)
-            has_root = upoly.count_roots(F7, a) > 0
+            has_root = _count_roots(F7, a) > 0
             assert irr == (not has_root)
             count += irr
     # number of monic irreducible quadratics over F_q is (q^2-q)/2
@@ -135,7 +140,7 @@ def test_is_irreducible_matches_factorability():
     rng = random.Random(77)
     for _ in range(120):
         a = [F9.random_element(rng), F9.random_element(rng), F9.one]
-        assert upoly.is_irreducible(F9, a) == (upoly.count_roots(F9, a) == 0)
+        assert upoly.is_irreducible(F9, a) == (_count_roots(F9, a) == 0)
 
 
 def test_is_irreducible_agrees_with_sympy():
@@ -154,7 +159,7 @@ def test_factor_reassembles():
     for field in (F7, F9, FqField(43)):
         for _ in range(15):
             a = rand_poly(field, rng, rng.randrange(1, 9))
-            if upoly.degree(a) < 1:
+            if len(a) < 2:
                 continue
             unit, pieces = upoly.factor(field, a)
             prod = [unit]
@@ -187,8 +192,8 @@ def test_squarefree_decomposition():
     dec = upoly.squarefree_decomposition(field, a)
     as_set = {(tuple(c.coeffs[0] for c in g), m) for g, m in dec}
     assert as_set == {((1, 1), 2), ((2, 1), 1)}
-    assert not upoly.is_squarefree(field, a)
-    assert upoly.is_squarefree(field, poly(field, [1, 0, 1]))
+    square_free = poly(field, [1, 0, 1])
+    assert upoly.squarefree_decomposition(field, square_free) == [(square_free, 1)]
 
 
 def test_large_field_roots_use_splitting():
@@ -203,10 +208,9 @@ def test_large_field_roots_use_splitting():
 def test_pow_mod_fermat():
     # x^(q^2) = x mod m for squarefree m whose roots lie in F_{q^2}
     for field, m_ints in ((F7, [1, 0, 1]), (F9, [2, 1, 1])):
-        m = poly(field, m_ints)
-        x = upoly.x_poly(field)
-        big = upoly.pow_mod(field, x, field.q ** 2, m)
-        assert big == x
+        K = upoly.kernel(field)
+        m = K.to(poly(field, m_ints))
+        assert upoly.pow_mod(K, K.x, field.q ** 2, m) == K.x
 
 
 def test_roots_over_fp2_split_without_scanning_fp():
@@ -271,13 +275,14 @@ def test_prime_field_kernel_agrees_with_sympy(p):
         assert sorted((_ints(g), m) for g, m in pieces) == want
         want_roots = sorted(-g[0] % p for g, _m in want if len(g) == 2)
         assert _ints(upoly.roots(field, pa)) == want_roots
-        assert upoly.count_roots(field, pa) == len(want_roots)
+        assert _count_roots(field, pa) == len(want_roots)
         assert upoly.is_irreducible(field, pa) == sa.is_irreducible
-        if not upoly.is_zero(pb):
-            assert _ints(upoly.gcd(field, pa, pb)) == _sympy_ints(sa.gcd(sb), p)
+        if pb:
+            assert _ints(poly_gcd(field, pa, pb)) == _sympy_ints(sa.gcd(sb), p)
         e = rng.randrange(p ** 3)
         want_pow = gf_pow_mod(list(reversed(_ints(pb))), e, list(reversed(a)), p, ZZ)
-        assert _ints(upoly.pow_mod(field, pb, e, pa)) == [int(c) for c in reversed(want_pow)]
+        K = upoly.kernel(field)
+        assert upoly.pow_mod(K, K.to(pb), e, K.to(pa)) == [int(c) for c in reversed(want_pow)]
 
 
 def test_scan_refuses_slots_that_could_overflow():
@@ -287,12 +292,23 @@ def test_scan_refuses_slots_that_could_overflow():
     assert not upoly._scans(upoly._Ints(ABOVE_CAP), [0, 1])
 
 
+def _horner(a, x):
+    """a(x) in FqElement arithmetic."""
+    acc = x.field.zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 def _element_path_roots(field, a):
-    """Roots on the generic element kernel: the reference for F_p-defined input."""
-    K = upoly._Elements(field)
+    """Roots split off gcd(x^q - x, a) on the field's own kernel: the reference
+    for F_p-defined input, each checked by Horner's rule on elements."""
+    K = upoly.kernel(field)
     found = []
-    upoly._split_linear(K, upoly._linear_part(K, upoly.trim(a)), random.Random(1), found)
-    return sorted(found, key=field.index_of)
+    upoly._split_linear(K, upoly._linear_part(K, K.to(a)), random.Random(1), found)
+    found = sorted(K.back(found), key=field.index_of)
+    assert not any(_horner(a, r) for r in found)
+    return found
 
 
 def _irreducible_over_fp(p, d, rng):
@@ -308,7 +324,6 @@ def _irreducible_over_fp(p, d, rng):
 def test_roots_of_fp_defined_polys_match_element_path(p, n):
     L = FqField(p, n)
     rng = random.Random(100 * p + n)
-    x = poly(L, [0, 1])
     cases = [poly(L, [rng.randrange(p) for _ in range(rng.randrange(2, 10))])
              for _ in range(20)]
     # irreducible factors whose degree does or does not divide n
@@ -317,14 +332,14 @@ def test_roots_of_fp_defined_polys_match_element_path(p, n):
         assert len(upoly.roots(L, g)) == (d if n % d == 0 else 0)
         cases.append(g)
     # repeated factors
-    lin = [upoly.sub(L, x, poly(L, [c])) for c in (0, 1 % p, 2 % p)]
+    lin = [poly(L, [-c, 1]) for c in (0, 1, 2)]
     cases.append(upoly.mul(L, upoly.mul(L, irr[2], irr[2]),
                            upoly.mul(L, upoly.mul(L, lin[1], lin[1]), lin[1])))
     cases.append(upoly.mul(L, upoly.mul(L, irr[3], lin[0]), upoly.mul(L, lin[2], irr[2])))
     if p < 100:  # a p-th power, through the p-th root step; of degree p + 3
         cases.append(upoly.mul(L, poly(L, [1] + [0] * (p - 1) + [1]), irr[3]))
     for a in cases:
-        if upoly.degree(a) < 0:
+        if not a:
             continue
         assert upoly.roots(L, a) == _element_path_roots(L, a)
     with pytest.raises(ValueError):
@@ -347,7 +362,7 @@ def test_quadratic_factors_over_fp2_match_element_path(p):
     for a in cases:
         got = upoly.roots(L, a)
         assert got == _element_path_roots(L, a)
-        assert all(not upoly.eval_in(L, a, r) for r in got)
+        assert not any(_horner(a, r) for r in got)
     for q in quads:
         assert len(upoly.roots(L, q)) == 2
 
@@ -363,14 +378,15 @@ def test_roots_on_the_element_kernel_take_fp_coefficients_to_ints(monkeypatch):
     a = upoly.mul(L, quads[0], quads[1])
     want = upoly.roots(L, a)
     calls = []
-    pow_mod = upoly._Elements.pow_mod
+    pow_mod = upoly._Tuples.pow_mod
 
     def counted(self, a, e, m):
-        calls.append(self.field)
+        calls.append(self.ring)
         return pow_mod(self, a, e, m)
 
-    monkeypatch.setattr(upoly._Elements, "pow_mod", counted)
-    assert upoly._roots(L, upoly._Elements(L), a) == want
+    monkeypatch.setattr(upoly._Tuples, "pow_mod", counted)
+    K = upoly.kernel(L)
+    assert upoly.kernel_roots(L, K, K.to(a)) == want
     assert len(want) == 4 and calls == []
 
 
@@ -379,16 +395,106 @@ def test_sample_birational_over_fp2_skips_the_element_kernel(monkeypatch):
     F = random_smooth_quartic(PolyRing(FqField(127), ("X", "Y", "Z")), rng)
     report = lift_genus3(Genus3Input(F), seed=127)
     calls = []
-    pow_mod = upoly._Elements.pow_mod
+    pow_mod = upoly._Tuples.pow_mod
 
     def counted(self, a, e, m):
-        calls.append(self.field)
+        calls.append(self.ring)
         return pow_mod(self, a, e, m)
 
-    monkeypatch.setattr(upoly._Elements, "pow_mod", counted)
+    monkeypatch.setattr(upoly._Tuples, "pow_mod", counted)
     out = sample_birational(report)
     assert out["status"] == "pass" and out["sampled"] > 25  # F_{q^2} points too
     assert calls == []
+
+
+def _school_mul(field, a, b):
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return upoly.trim(out)
+
+
+def _school_divmod(field, a, b):
+    q, r = [field.zero] * max(len(a) - len(b) + 1, 0), list(a)
+    inv = b[-1].inverse()
+    for i in range(len(a) - len(b), -1, -1):
+        q[i] = c = r[i + len(b) - 1] * inv
+        for j, y in enumerate(b):
+            r[i + j] = r[i + j] - c * y
+    return upoly.trim(q), upoly.trim(r)
+
+
+def _school_monic(a):
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _school_gcd(field, a, b):
+    while b:
+        a, b = b, _school_divmod(field, a, b)[1]
+    return _school_monic(a) if a else a
+
+
+def _school_pow_mod(field, a, e, m):
+    result, base = [field.one], _school_divmod(field, a, m)[1]
+    for bit in reversed(bin(e)[2:]):
+        if bit == "1":
+            result = _school_divmod(field, _school_mul(field, result, base), m)[1]
+        base = _school_divmod(field, _school_mul(field, base, base), m)[1]
+    return result
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (5, 3), (127, 2)])
+def test_tuple_kernel_agrees_with_schoolbook_element_arithmetic(p, n):
+    field = FqField(p, n)
+    K = upoly.kernel(field)
+    rng = random.Random(p * n)
+    for _ in range(12):
+        a, b, m = (rand_poly(field, rng, rng.randrange(0, 7)) for _ in range(3))
+        if not b or len(m) < 2:
+            continue
+        ka, kb, km = K.to(a), K.to(b), K.to(m)
+        assert K.back(K.product(ka, kb)) == _school_mul(field, a, b)
+        q, r = _school_divmod(field, a, b)
+        assert [K.back(c) for c in K.divmod(ka, kb)] == [q, r]
+        assert K.back(K.rem(ka, kb)) == r
+        assert K.back(K.gcd(ka, kb)) == _school_gcd(field, a, b)
+        assert K.back(K.monic(kb)) == _school_monic(b)
+        assert K.back(K.derivative(ka)) == upoly.trim([c * i for i, c in enumerate(a)][1:])
+        e = rng.randrange(field.q ** 2)
+        assert K.back(K.pow_mod(ka, e, km)) == _school_pow_mod(field, a, e, m)
+        # in characteristic p, b^p is b(x^p) with each coefficient raised to the p
+        bp = [field.zero] * (p * (len(b) - 1) + 1)
+        bp[::p] = [c ** p for c in b]
+        assert K.back(K.pth_root(K.to(bp))) == b
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 3)])
+def test_tuple_kernel_orders_and_draws_like_the_enumeration(p, n):
+    field = FqField(p, n)
+    K = upoly.kernel(field)
+    elements = [field.element_at(i) for i in range(field.q)]
+    shuffled = list(elements)
+    random.Random(p).shuffle(shuffled)
+    assert K.back(sorted(K.to(shuffled), key=K.key)) == elements
+    ours, theirs = random.Random(n), random.Random(n)
+    assert [K.element(K.random(ours)) for _ in range(20)] == \
+        [field.element_at(theirs.randrange(field.q)) for _ in range(20)]
+
+
+def test_roots_of_a_polynomial_over_a_subfield_are_embedded():
+    # coefficients in F_9, roots in F_81: the roots found over F_9 and the
+    # factors split in F_81 must pass through the embedding of F_9
+    F81 = FqField(3, 4)
+    rng = random.Random(81)
+    for _ in range(20):
+        a = rand_poly(F9, rng, rng.randrange(1, 6))
+        if len(a) < 2 or all(not any(c.coeffs[1:]) for c in a):
+            continue  # constant, or over F_3
+        embedded = [F81.element(c) for c in a]
+        want = [x for x in F81.elements() if not _horner(embedded, x)]
+        assert upoly.roots(F81, a) == want
 
 
 def test_sample_birational_over_f127_finds_roots_by_scanning(monkeypatch):
@@ -399,7 +505,7 @@ def test_sample_birational_over_f127_finds_roots_by_scanning(monkeypatch):
     linear_part = upoly._linear_part
 
     def counted(K, a):
-        calls.append(K.field)
+        calls.append(K.ring)
         return linear_part(K, a)
 
     monkeypatch.setattr(upoly, "_linear_part", counted)

@@ -5,7 +5,7 @@ import time
 import pytest
 
 import g6_fixture as g6
-from fixtures import random_smooth_quartic
+from fixtures import poly_gcd, random_smooth_quartic
 from gonalift import linalg, mpoly, polygon, upoly, verify
 from gonalift.errors import (DegenerateModel, InputError, WrongGammaDegree,
                              ZeroInput)
@@ -628,10 +628,10 @@ def test_common_zero_matches_brute_force_over_extensions():
                     s.pop()
                 if not s:
                     continue
-                g = s if g is None else upoly.gcd(L, g, s)
-            if g is None or (upoly.degree(g) >= 1 and upoly.roots(L, g)):
+                g = s if g is None else poly_gcd(L, g, s)
+            if g is None or (len(upoly.trim(g)) > 1 and upoly.roots(L, g)):
                 return True
-            if upoly.degree(g) == 0 and not g[0]:
+            if len(upoly.trim(g)) == 1 and not g[0]:
                 return True
         return False
 
@@ -844,7 +844,7 @@ def test_elimination_verdicts_match_their_digests(monkeypatch):
     # whose resultants both vanish, and Bareiss's determinant over small F_p
     from pathlib import Path
     seen = {"eliminant": 0, "gcd": 0, "bareiss": 0}
-    eliminant, bgcd, det = mpoly.PlaneSlices.eliminant, mpoly.bivariate_gcd, upoly._det
+    eliminant, bgcd, det = mpoly.PlaneSlices.eliminant, mpoly.bivariate_gcd, upoly.kernel_det
 
     def counted_eliminant(self):
         e = eliminant(self)
@@ -861,7 +861,7 @@ def test_elimination_verdicts_match_their_digests(monkeypatch):
 
     monkeypatch.setattr(mpoly.PlaneSlices, "eliminant", counted_eliminant)
     monkeypatch.setattr(mpoly, "bivariate_gcd", counted_gcd)
-    monkeypatch.setattr(upoly, "_det", counted_det)
+    monkeypatch.setattr(upoly, "kernel_det", counted_det)
     verdicts = list(elimination_verdicts())
     got = elimination_digests(verdicts)
     want = json.loads((Path(__file__).parent / "elimination_digests.json").read_text())
